@@ -2,6 +2,7 @@
 # Tier-1 verify, optionally under a sanitizer preset.
 #
 #   scripts/check.sh            # plain RelWithDebInfo build + ctest + bench JSON
+#                               # + a short replica_brownout benchmark run
 #   scripts/check.sh tsan       # ThreadSanitizer build + ctest
 #   scripts/check.sh asan       # Address+UB sanitizer build + ctest
 #   scripts/check.sh all        # default, then tsan, then asan
@@ -189,6 +190,25 @@ print(f"    overload gate OK: 2x goodput {ratio * 100:.0f}% of capacity, "
 EOF
 }
 
+# Benchmark smoke run: a short replica_brownout run of the repository
+# benchmark (perfbench/run.py builds its own tree under .bench_build). Its
+# at-most-once write check drives the proxy's balanced attempt loop, with
+# hedging and deadlines, over TCP; the check fails unless the result line
+# (the last line of output) reports "correct": true.
+run_brownout_smoke() {
+  echo "==> perfbench replica_brownout smoke run"
+  local result
+  result="$(python3 perfbench/run.py --workload replica_brownout --seed 1 --seconds 2 \
+    --trace 0 | tail -n 1)"
+  python3 - "${result}" <<'EOF'
+import json, sys
+result = json.loads(sys.argv[1])
+assert result["correct"] is True, f"replica_brownout run not correct: {sys.argv[1]}"
+print(f"    replica_brownout smoke OK: {result['attempted']} attempted, "
+      f"{result['failed']} failed")
+EOF
+}
+
 # Extracts every R"LUMA(...)LUMA" block embedded in examples/ and tests/
 # sources and runs the Luma static analyzer over it (shell policy, full
 # native catalog). Any diagnostic at all fails the check: the in-repo
@@ -281,6 +301,7 @@ case "${1:-default}" in
     run_lb_gate
     run_luma_analysis_gate
     run_overload_gate
+    run_brownout_smoke
     ;;
   tsan|asan)
     run_preset "$1"
@@ -298,6 +319,7 @@ case "${1:-default}" in
     run_lb_gate
     run_luma_analysis_gate
     run_overload_gate
+    run_brownout_smoke
     run_preset tsan
     run_preset asan
     ;;

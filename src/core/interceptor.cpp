@@ -1,6 +1,9 @@
 #include "core/interceptor.h"
 
+#include <algorithm>
+
 #include "base/logging.h"
+#include "core/smart_proxy.h"
 #include "obs/trace.h"
 
 namespace adapt::core {
@@ -23,35 +26,24 @@ Value InterceptedCaller::invoke(const ObjectRef& target, const std::string& oper
   for (const auto& interceptor : chain_) {
     interceptor->before_invoke(effective, operation, effective_args);
   }
-  auto retry_with = [&](const ObjectRef& retry) {
-    span.annotate("failover", retry.str());
-    Value result = orb_->invoke(retry, operation, effective_args);
-    for (auto it = chain_.rbegin(); it != chain_.rend(); ++it) {
-      (*it)->after_invoke(retry, operation, result);
-    }
-    return result;
-  };
   Value result;
   try {
     result = orb_->invoke(effective, operation, effective_args);
-  } catch (const orb::TransportError& e) {
+  } catch (const Error& e) {
+    // The interceptors are asked only when the re-issue rule allows a
+    // failover, so no on_error can re-run a call that may have executed.
     ObjectRef retry;
-    for (const auto& interceptor : chain_) {
-      if (interceptor->on_error(effective, operation, e, retry)) {
-        return retry_with(retry);
-      }
+    const auto asks_retry = [&](const std::shared_ptr<Interceptor>& interceptor) {
+      return interceptor->on_error(effective, operation, e, retry);
+    };
+    if (!orb::may_reissue(orb::Reissue::Failover, orb_->is_idempotent(operation), &e) ||
+        std::none_of(chain_.begin(), chain_.end(), asks_retry)) {
+      span.set_error(e.what());
+      throw;
     }
-    span.set_error(e.what());
-    throw;
-  } catch (const orb::ObjectNotFound& e) {
-    ObjectRef retry;
-    for (const auto& interceptor : chain_) {
-      if (interceptor->on_error(effective, operation, e, retry)) {
-        return retry_with(retry);
-      }
-    }
-    span.set_error(e.what());
-    throw;
+    span.annotate("failover", retry.str());
+    effective = retry;
+    result = orb_->invoke(effective, operation, effective_args);
   }
   for (auto it = chain_.rbegin(); it != chain_.rend(); ++it) {
     (*it)->after_invoke(effective, operation, result);
@@ -98,14 +90,7 @@ bool RebindInterceptor::run_selection(const ObjectRef& avoid) {
     log_warn("rebind interceptor[", service_type_, "]: query failed: ", e.what());
     return false;
   }
-  const trading::OfferInfo* chosen = nullptr;
-  for (const auto& offer : offers) {
-    if (avoid.empty() || !(offer.provider == avoid)) {
-      chosen = &offer;
-      break;
-    }
-  }
-  if (chosen == nullptr && !offers.empty()) chosen = &offers.front();
+  const trading::OfferInfo* chosen = first_offer_avoiding(offers, avoid);
   if (chosen == nullptr) return false;
   std::scoped_lock lock(mu_);
   if (!(chosen->provider == current_)) ++rebinds_;

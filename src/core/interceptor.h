@@ -41,8 +41,9 @@ class Interceptor {
     (void)operation;
     (void)result;
   }
-  /// Called on transport-level failure. Return true (and set retry_target)
-  /// to retry the request once against a new target.
+  /// Called when a failed request may be re-sent elsewhere
+  /// (orb::may_reissue with Reissue::Failover). Return true (and set
+  /// retry_target) to retry it once against a new target.
   virtual bool on_error(const ObjectRef& target, const std::string& operation,
                         const Error& error, ObjectRef& retry_target) {
     (void)target;

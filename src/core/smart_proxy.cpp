@@ -1,5 +1,6 @@
 #include "core/smart_proxy.h"
 
+#include <algorithm>
 #include <atomic>
 
 #include "base/logging.h"
@@ -29,6 +30,15 @@ void reject_on_lint_error(const script::ScriptEngine::AnalysisVerdict& verdict,
   }
 }
 }  // namespace
+
+const trading::OfferInfo* first_offer_avoiding(const std::vector<trading::OfferInfo>& offers,
+                                               const ObjectRef& failed) {
+  if (offers.empty()) return nullptr;
+  const auto it = std::find_if(offers.begin(), offers.end(), [&](const auto& offer) {
+    return !(offer.provider == failed);
+  });
+  return it != offers.end() ? &*it : &offers.front();
+}
 
 SmartProxyPtr SmartProxy::create(orb::OrbPtr orb, ObjectRef lookup, SmartProxyConfig config,
                                  std::shared_ptr<script::ScriptEngine> engine) {
@@ -223,12 +233,10 @@ std::vector<trading::OfferInfo> SmartProxy::query_offers(const std::string& cons
                                                          const std::string& preference) {
   std::vector<trading::OfferInfo> offers;
   try {
-    // Rebind path: trader queries are idempotent, so give the transport an
-    // explicit deadline + retry budget instead of failing on the first hiccup.
+    // Rebind path: trader queries are idempotent, so the ORB retries them
+    // instead of failing on the first hiccup.
     orb::InvokeOptions options;
-    options.deadline = config_.query_deadline;
     options.idempotent = true;
-    options.retry = config_.query_retry;
     const Value reply = orb_->invoke(
         lookup_, "query",
         {Value(config_.service_type), Value(constraint), Value(preference), Value(),
@@ -284,20 +292,12 @@ bool SmartProxy::select(const std::string& constraint) {
     return false;
   }
 
-  // Prefer offers that are not the provider that just failed.
   ObjectRef failed;
   {
     std::scoped_lock lock(mu_);
     failed = last_failed_;
   }
-  const trading::OfferInfo* chosen = nullptr;
-  for (const auto& offer : offers) {
-    if (failed.empty() || !(offer.provider == failed)) {
-      chosen = &offer;
-      break;
-    }
-  }
-  if (chosen == nullptr && !offers.empty()) chosen = &offers.front();
+  const trading::OfferInfo* chosen = first_offer_avoiding(offers, failed);
   if (chosen == nullptr) return false;
   bind(*chosen);
   return true;
@@ -578,25 +578,16 @@ void SmartProxy::add_method_alternative(const std::string& operation,
   method_alternatives_[operation] = alternative;
 }
 
-ObjectRef SmartProxy::resolve_route(const std::string& operation, OperationRoute& route,
-                                    bool force_reselect) {
-  if (!force_reselect && !route.target.empty()) return route.target;
-  const ObjectRef avoid = route.target;
-  auto offers = query_offers(route.constraint, route.preference);
-  const trading::OfferInfo* chosen = nullptr;
-  for (const auto& offer : offers) {
-    if (!force_reselect || avoid.empty() || !(offer.provider == avoid)) {
-      chosen = &offer;
-      break;
-    }
-  }
-  if (chosen == nullptr && !offers.empty()) chosen = &offers.front();
+ObjectRef SmartProxy::resolve_route(const std::string& operation, const OperationRoute& route,
+                                    const ObjectRef& failed) {
+  if (failed.empty() && !route.target.empty()) return route.target;
+  const auto offers = query_offers(route.constraint, route.preference);
+  const trading::OfferInfo* chosen = first_offer_avoiding(offers, failed);
   if (chosen == nullptr) {
     throw NoComponentAvailable("no component satisfies route for operation '" + operation +
                                "' of '" + config_.service_type + "'");
   }
-  route.target = chosen->provider;
-  return route.target;
+  return chosen->provider;
 }
 
 // ---- invocation ------------------------------------------------------------
@@ -619,15 +610,6 @@ Value SmartProxy::forward_to(const ObjectRef& target, const std::string& operati
   }
 }
 
-Value SmartProxy::forward(const std::string& operation, const ValueList& args) {
-  ObjectRef target;
-  {
-    std::scoped_lock lock(mu_);
-    target = current_;
-  }
-  return forward_to(target, operation, args);
-}
-
 Value SmartProxy::invoke(const std::string& operation, const ValueList& args) {
   // Proxy span: parent of the event-strategy work, any rebind, and the
   // forwarded ORB client span(s) — so adaptation shows up inside the trace
@@ -648,85 +630,87 @@ Value SmartProxy::invoke(const std::string& operation, const ValueList& args) {
 Value SmartProxy::invoke_traced(const std::string& operation, const ValueList& args) {
   handle_pending_events();
 
-  // Routed operations resolve their own component (SIV-A).
-  bool routed = false;
-  OperationRoute route;
-  {
-    std::scoped_lock lock(mu_);
-    const auto it = routes_.find(operation);
-    if (it != routes_.end()) {
-      routed = true;
-      route = it->second;
-    }
-  }
-  if (routed) {
+  // One attempt loop for every path. A routed operation has its own
+  // component (SIV-A); a non-sticky policy (or a custom scorer) picks from
+  // the replica set; otherwise the single bound component serves. The
+  // paths differ only in how a target is chosen and how a failed one is
+  // marked; whether a failure may be re-issued is orb::may_reissue's call.
+  const bool idempotent = orb_->is_idempotent(operation);
+  ObjectRef failed;
+  for (int attempt = 0;; ++attempt) {
+    std::optional<OperationRoute> route;
+    lb::ReplicaSetPtr set;
+    ObjectRef target;
     {
       std::scoped_lock lock(mu_);
-      ++invocations_;
+      if (attempt == 0) ++invocations_;
+      if (const auto it = routes_.find(operation); it != routes_.end()) {
+        route = it->second;
+      } else if (replica_set_ != nullptr && (replica_set_->policy() != lb::Policy::Sticky ||
+                                             replica_set_->has_score_fn())) {
+        set = replica_set_;
+      } else {
+        target = current_;
+      }
     }
-    ObjectRef target = resolve_route(operation, route, /*force_reselect=*/false);
-    auto store = [&] {
-      std::scoped_lock lock(mu_);
-      const auto it = routes_.find(operation);
-      if (it != routes_.end()) it->second.target = route.target;
-    };
+    lb::ReplicaPtr replica;
+    if (route) {
+      target = resolve_route(operation, *route, failed);
+    } else if (set) {
+      replica = pick_replica(*set);
+      target = replica->provider();
+    } else if (target.empty()) {
+      if (!select()) {
+        throw_no_component("no component available for service type '" +
+                           config_.service_type + "'");
+      }
+      target = current();
+    }
+
     try {
-      const Value result = forward_to(target, operation, args);
-      store();
+      Value result = replica ? set->invoke(orb_, replica, operation, args, idempotent)
+                             : forward_to(target, operation, args);
+      if (route && !(route->target == target)) {
+        std::scoped_lock lock(mu_);
+        const auto it = routes_.find(operation);
+        if (it != routes_.end()) it->second.target = target;
+      }
       return result;
-    } catch (const orb::TransportError& e) {
-      if (!config_.auto_failover) throw;
-      // The request may already have run on the failed component; blindly
-      // re-executing a non-idempotent operation elsewhere could double it.
-      if (e.maybe_executed() && !orb_->is_idempotent(operation)) throw;
-    } catch (const orb::ObjectNotFound&) {
-      if (!config_.auto_failover) throw;
+    } catch (const Error& e) {
+      if (!config_.auto_failover || attempt >= 1 ||
+          !orb::may_reissue(orb::Reissue::Failover, idempotent, &e)) {
+        throw;
+      }
+      log_warn("smartproxy[", config_.service_type, "]: ", target.str(), " failed (",
+               e.what(), "), failing over");
     }
-    target = resolve_route(operation, route, /*force_reselect=*/true);
-    const Value result = forward_to(target, operation, args);
-    store();
-    return result;
+    // Mark the failed target. A route reselects around it and the replica
+    // set's breaker already recorded it; the bound component is dropped.
+    failed = target;
+    if (!route && !set) unbind_failed(target);
   }
+}
 
-  // A non-sticky policy (or a custom scorer) routes un-routed invocations
-  // through the replica set instead of the single bound component.
-  if (lb_active()) return invoke_balanced(operation, args);
+lb::ReplicaPtr SmartProxy::pick_replica(lb::ReplicaSet& set) const {
+  lb::ReplicaPtr replica = set.pick();
+  if (replica) return replica;
+  if (!set.last_refresh_error().empty()) {
+    throw TraderUnavailable("no replica available for service type '" +
+                            config_.service_type + "' (trader unreachable)");
+  }
+  throw NoComponentAvailable("no replica available for service type '" +
+                             config_.service_type + "'");
+}
 
-  if (!bound() && !select()) {
-    throw_no_component("no component available for service type '" +
-                       config_.service_type + "'");
-  }
-  {
-    std::scoped_lock lock(mu_);
-    ++invocations_;
-  }
-  try {
-    return forward(operation, args);
-  } catch (const orb::TransportError& e) {
-    if (!config_.auto_failover) throw;
-    // After the request was fully written the peer may have executed it:
-    // reselect-and-retry is only safe for idempotent operations (the same
-    // discipline the transport pool applies to its post-write redial).
-    if (e.maybe_executed() && !orb_->is_idempotent(operation)) throw;
-    log_warn("smartproxy[", config_.service_type, "]: component unreachable (", e.what(),
-             "), failing over");
-  } catch (const orb::ObjectNotFound& e) {
-    if (!config_.auto_failover) throw;
-    log_warn("smartproxy[", config_.service_type, "]: component gone (", e.what(),
-             "), failing over");
-  }
-  {
-    std::scoped_lock lock(mu_);
-    last_failed_ = current_;
-    current_ = ObjectRef{};
-    current_monitor_ref_ = ObjectRef{};
-    offer_.reset();
-  }
-  if (!select()) {
-    throw_no_component("component failed and no replacement found for '" +
-                       config_.service_type + "'");
-  }
-  return forward(operation, args);
+void SmartProxy::unbind_failed(const ObjectRef& target) {
+  // Leave the failed component's monitor the way a rebind does (best
+  // effort), so its events stop reaching this proxy.
+  detach_registrations();
+  std::scoped_lock lock(mu_);
+  last_failed_ = target;
+  current_ = ObjectRef{};
+  current_monitor_ref_ = ObjectRef{};
+  offer_.reset();
 }
 
 void SmartProxy::throw_no_component(const std::string& message) const {
@@ -740,12 +724,6 @@ void SmartProxy::throw_no_component(const std::string& message) const {
 }
 
 // ---- load balancing --------------------------------------------------------
-
-bool SmartProxy::lb_active() const {
-  std::scoped_lock lock(mu_);
-  return replica_set_ != nullptr &&
-         (replica_set_->policy() != lb::Policy::Sticky || replica_set_->has_score_fn());
-}
 
 lb::ReplicaSetPtr SmartProxy::replica_set(bool ensure) {
   {
@@ -782,41 +760,6 @@ void SmartProxy::set_lb_policy(const std::string& policy) {
 std::string SmartProxy::lb_policy() const {
   std::scoped_lock lock(mu_);
   return replica_set_ != nullptr ? lb::policy_name(replica_set_->policy()) : "sticky";
-}
-
-Value SmartProxy::invoke_balanced(const std::string& operation, const ValueList& args) {
-  lb::ReplicaSetPtr set;
-  {
-    std::scoped_lock lock(mu_);
-    set = replica_set_;
-    ++invocations_;
-  }
-  const bool idempotent = orb_->is_idempotent(operation);
-  for (int attempt = 0;; ++attempt) {
-    lb::ReplicaPtr replica = set->pick();
-    if (!replica) {
-      if (!set->last_refresh_error().empty()) {
-        throw TraderUnavailable("no replica available for service type '" +
-                                config_.service_type + "' (trader unreachable)");
-      }
-      throw NoComponentAvailable("no replica available for service type '" +
-                                 config_.service_type + "'");
-    }
-    try {
-      return set->invoke(orb_, replica, operation, args, idempotent);
-    } catch (const orb::TransportError& e) {
-      // The breaker already recorded the failure; one reselect-and-retry,
-      // gated on idempotence exactly like the sticky failover path.
-      if (!config_.auto_failover || attempt >= 1) throw;
-      if (e.maybe_executed() && !idempotent) throw;
-      log_warn("smartproxy[", config_.service_type, "]: replica unreachable (", e.what(),
-               "), repicking");
-    } catch (const orb::ObjectNotFound& e) {
-      if (!config_.auto_failover || attempt >= 1) throw;
-      log_warn("smartproxy[", config_.service_type, "]: replica gone (", e.what(),
-               "), repicking");
-    }
-  }
 }
 
 uint64_t SmartProxy::invocations() const {

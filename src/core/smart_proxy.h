@@ -53,6 +53,11 @@ class TraderUnavailable : public NoComponentAvailable {
   using NoComponentAvailable::NoComponentAvailable;
 };
 
+/// The offer to bind after a call to `failed` failed: the first offer from
+/// another provider, else the first offer; null when there are none.
+const trading::OfferInfo* first_offer_avoiding(const std::vector<trading::OfferInfo>& offers,
+                                               const ObjectRef& failed);
+
 struct SmartProxyConfig {
   /// Trader service type this proxy represents.
   std::string service_type;
@@ -66,7 +71,10 @@ struct SmartProxyConfig {
   /// Postpone event handling to the next invocation (D1, paper SIV-A).
   /// When false, events are handled the moment the notification arrives.
   bool postpone_events = true;
-  /// Reselect-and-retry once when the bound component is unreachable.
+  /// Fail over once — reselect the route, repick the replica or rebind —
+  /// when a call fails in a way orb::may_reissue allows to re-send
+  /// elsewhere: unreachable or missing component, and for non-idempotent
+  /// operations only if the request cannot have executed.
   bool auto_failover = true;
   /// Offer property holding the component's monitor ObjectRef ("" = none).
   std::string monitor_property = "LoadAvgMonitor";
@@ -75,12 +83,6 @@ struct SmartProxyConfig {
   std::string monitor_field = "_loadavgmon";
   /// Lookup policies for trader queries.
   trading::LookupPolicies policies;
-  /// Per-call deadline for trader queries on the (re)bind path, seconds;
-  /// 0 uses the client ORB's request_timeout. Queries are idempotent, so
-  /// the ORB's RetryPolicy applies to them within this deadline.
-  double query_deadline = 0.0;
-  /// Overrides the client ORB's retry policy for trader queries.
-  std::optional<orb::RetryPolicy> query_retry;
   /// Initial load-balancing policy: "sticky" (the paper's single-bind
   /// behavior, default) | "round_robin" | "p2c" | "weighted". Any non-sticky
   /// policy routes un-routed invocations through a replica set holding
@@ -231,7 +233,6 @@ class SmartProxy : public std::enable_shared_from_this<SmartProxy> {
   void detach_registrations();
   void attach_registrations();
   void handle_event(const std::string& event_id);
-  Value forward(const std::string& operation, const ValueList& args);
 
   struct Interest {
     std::string event_id;
@@ -245,14 +246,21 @@ class SmartProxy : public std::enable_shared_from_this<SmartProxy> {
     ObjectRef target;  // cached selection; empty until first use
   };
 
-  /// invoke() after its proxy span is open: events, routing, failover.
+  /// invoke() after its proxy span is open: events, then the attempt loop
+  /// over the routed, balanced or bound target, with failover.
   Value invoke_traced(const std::string& operation, const ValueList& args);
   /// Forwards to `target`, applying method alternatives on BadOperation.
   Value forward_to(const ObjectRef& target, const std::string& operation,
                    const ValueList& args, int depth = 0);
-  /// Selects (or reuses) the component for a routed operation.
-  ObjectRef resolve_route(const std::string& operation, OperationRoute& route,
-                          bool force_reselect);
+  /// The component for a routed operation: its cached target, or a fresh
+  /// selection avoiding `failed` once a call to it failed.
+  ObjectRef resolve_route(const std::string& operation, const OperationRoute& route,
+                          const ObjectRef& failed);
+  /// The replica set's pick; throws when it has none.
+  lb::ReplicaPtr pick_replica(lb::ReplicaSet& set) const;
+  /// Drops the bound component after a failed call: detaches from its
+  /// monitor and makes the next select() avoid it.
+  void unbind_failed(const ObjectRef& target);
   /// Runs a trader query; returns matching offers (possibly none). Throws
   /// TraderUnavailable when the trader itself could not be reached, so
   /// callers can tell an outage from a legitimate no-match.
@@ -264,10 +272,6 @@ class SmartProxy : public std::enable_shared_from_this<SmartProxy> {
   /// Throws TraderUnavailable when the last selection failed because of a
   /// trader outage, NoComponentAvailable otherwise.
   [[noreturn]] void throw_no_component(const std::string& message) const;
-  /// invoke_traced when a non-sticky policy routes through the replica set.
-  Value invoke_balanced(const std::string& operation, const ValueList& args);
-  /// True when invocations should route through the replica set.
-  [[nodiscard]] bool lb_active() const;
 
   orb::OrbPtr orb_;
   ObjectRef lookup_;

@@ -536,7 +536,7 @@ Value ReplicaSet::invoke(const orb::OrbPtr& orb, const ReplicaPtr& replica,
   bool hedged;
   {
     std::lock_guard lk(mu_);
-    hedged = hedge_.enabled && idempotent;
+    hedged = hedge_.enabled && orb::may_reissue(orb::Reissue::Hedge, idempotent);
   }
   if (!hedged || !remote_endpoint(replica->provider())) {
     return replica->invoke(orb, operation, args);

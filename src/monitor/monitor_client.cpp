@@ -2,19 +2,22 @@
 
 namespace adapt::monitor {
 
-MonitorClient::MonitorClient(orb::OrbPtr orb, ObjectRef ref)
-    : MonitorClient(std::move(orb), std::move(ref), orb::InvokeOptions{}) {}
-
-MonitorClient::MonitorClient(orb::OrbPtr orb, ObjectRef ref, orb::InvokeOptions read_options)
-    : orb_(std::move(orb)), ref_(std::move(ref)), read_options_(std::move(read_options)) {
-  // Monitor reads are always safe to re-execute; make the transport retry
-  // them even when the caller passed a default-constructed options block.
-  read_options_.idempotent = true;
+namespace {
+// Monitor reads (getvalue, getAspectValue, definedAspects) are always safe
+// to re-execute: mark them idempotent so the transport retries them.
+orb::InvokeOptions read_options() {
+  orb::InvokeOptions options;
+  options.idempotent = true;
+  return options;
 }
+}  // namespace
+
+MonitorClient::MonitorClient(orb::OrbPtr orb, ObjectRef ref)
+    : orb_(std::move(orb)), ref_(std::move(ref)) {}
 
 Value MonitorClient::getvalue() const {
   require();
-  return orb_->invoke(ref_, "getvalue", {}, read_options_);
+  return orb_->invoke(ref_, "getvalue", {}, read_options());
 }
 
 void MonitorClient::setvalue(const Value& v) const {
@@ -24,7 +27,7 @@ void MonitorClient::setvalue(const Value& v) const {
 
 Value MonitorClient::getAspectValue(const std::string& name) const {
   require();
-  return orb_->invoke(ref_, "getAspectValue", {Value(name)}, read_options_);
+  return orb_->invoke(ref_, "getAspectValue", {Value(name)}, read_options());
 }
 
 void MonitorClient::defineAspect(const std::string& name,
@@ -35,7 +38,7 @@ void MonitorClient::defineAspect(const std::string& name,
 
 std::vector<std::string> MonitorClient::definedAspects() const {
   require();
-  const Value v = orb_->invoke(ref_, "definedAspects", {}, read_options_);
+  const Value v = orb_->invoke(ref_, "definedAspects", {}, read_options());
   std::vector<std::string> out;
   if (v.is_table()) {
     const Table& t = *v.as_table();

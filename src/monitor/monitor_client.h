@@ -17,9 +17,6 @@ class MonitorClient {
  public:
   MonitorClient() = default;
   MonitorClient(orb::OrbPtr orb, ObjectRef ref);
-  /// `read_options` applies to the idempotent read operations (getvalue,
-  /// getAspectValue, definedAspects): per-call deadline and retry policy.
-  MonitorClient(orb::OrbPtr orb, ObjectRef ref, orb::InvokeOptions read_options);
 
   [[nodiscard]] bool valid() const { return orb_ != nullptr && !ref_.empty(); }
   [[nodiscard]] const ObjectRef& ref() const { return ref_; }
@@ -41,7 +38,6 @@ class MonitorClient {
   }
   orb::OrbPtr orb_;
   ObjectRef ref_;
-  orb::InvokeOptions read_options_;  // idempotent is forced on for reads
 };
 
 /// Builds a Luma table wrapping a remote monitor: methods getvalue,

@@ -575,16 +575,15 @@ Value Orb::invoke_traced(const ObjectRef& ref, const std::string& operation,
     }
   }
 
-  // TCP path: idempotent operations are retried with backoff under one
-  // overall deadline; everything else gets a single attempt — except for
-  // Overloaded rejections, which are guaranteed pre-dispatch and therefore
-  // safe to retry for *any* operation. Either retry class spends a
-  // per-endpoint retry-budget token so a server brown-out cannot be
-  // amplified into a retry storm. The pool's checkout-time stale detection
-  // protects every operation; its riskier post-write redial is enabled only
-  // for idempotent ones (the flag below reaches TcpConnectionPool::call).
-  const int max_attempts = (idempotent && !oneway) ? std::max(1, policy.max_attempts) : 1;
-  const int overload_attempts = oneway ? 1 : std::max(1, policy.max_attempts);
+  // TCP path: a failed attempt is retried with backoff under one overall
+  // deadline when may_reissue(Retry) allows it — idempotent operations on
+  // TransportError, any operation on Overloaded (rejected pre-dispatch).
+  // Every retry spends a per-endpoint retry-budget token so a server
+  // brown-out cannot be amplified into a retry storm. The pool's
+  // checkout-time stale detection protects every operation; its post-write
+  // redial asks the same rule (the idempotence flag reaches
+  // TcpConnectionPool::call).
+  const int max_attempts = oneway ? 1 : std::max(1, policy.max_attempts);
   const double start = steady_now();
   retry_budget_.on_attempt(ref.endpoint);
 
@@ -615,26 +614,18 @@ Value Orb::invoke_traced(const ObjectRef& ref, const std::string& operation,
       if (attempt > 0) req.request_id = next_request_id_++;
       if (emit_context) req.deadline = remaining;
       return invoke_tcp_once(ref, req, oneway, remaining, idempotent);
-    } catch (const TimeoutError&) {
-      // The per-attempt socket timeout already was the remaining budget.
-      stats_->add_timeout();
-      throw;
-    } catch (const DeadlineExceeded&) {
-      // The server measured *our* budget as expired; retrying re-spends a
-      // budget that is already gone.
-      stats_->add_overload();
-      throw;
-    } catch (const Overloaded& e) {
-      stats_->add_overload();
-      if (attempt + 1 >= overload_attempts) throw;
-      if (!retry_budget_.try_spend(ref.endpoint)) throw;
-      log_debug("invoke '", operation, "' on ", ref.str(), " shed (", e.what(),
-                "), retrying");
-      if (!backoff_within_budget(attempt)) throw;
-    } catch (const TransportError& e) {
-      stats_->add_transport_error();
-      if (attempt + 1 >= max_attempts) throw;
-      if (!retry_budget_.try_spend(ref.endpoint)) throw;
+    } catch (const OrbError& e) {
+      if (dynamic_cast<const TimeoutError*>(&e) != nullptr) {
+        stats_->add_timeout();
+      } else if (dynamic_cast<const TransportError*>(&e) != nullptr) {
+        stats_->add_transport_error();
+      } else if (dynamic_cast<const RejectedError*>(&e) != nullptr) {
+        stats_->add_overload();
+      }
+      if (attempt + 1 >= max_attempts || !may_reissue(Reissue::Retry, idempotent, &e) ||
+          !retry_budget_.try_spend(ref.endpoint)) {
+        throw;
+      }
       log_debug("invoke '", operation, "' on ", ref.str(), " failed (", e.what(),
                 "), retrying");
       if (!backoff_within_budget(attempt)) throw;

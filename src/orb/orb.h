@@ -231,9 +231,9 @@ class Orb : public std::enable_shared_from_this<Orb> {
   bool ping(const ObjectRef& ref);
 
   /// This ORB's idempotence classification for `operation`
-  /// (OrbConfig::idempotent_operations). Retry layers above the transport —
-  /// SmartProxy auto-failover, the lb hedging path — consult this before
-  /// re-executing a request that may already have run remotely.
+  /// (OrbConfig::idempotent_operations). Layers above the transport — proxy
+  /// and interceptor failover, lb hedging — pass it to may_reissue before
+  /// re-sending a request that may already have run remotely.
   [[nodiscard]] bool is_idempotent(const std::string& operation) const {
     return config_.idempotent_operations.count(operation) > 0;
   }

@@ -321,15 +321,8 @@ Bytes TcpConnectionPool::call(const std::string& endpoint, const Bytes& request,
     }
     const Checkout co = checkout(endpoint, dial_budget);
     set_timeouts(co.fd, dial_budget);
-    // Redial policy: before the request is fully written, nothing was
-    // delivered and a retry is always safe. After a full write the peer
-    // may have executed the request, so only idempotent calls may resend —
-    // and never once a byte of the reply was consumed (a torn reply must
-    // surface, not be silently re-requested). Fresh dials never redial:
-    // their failure is a real signal, not pool staleness.
     size_t reply_bytes = 0;
     bool sent_fully = false;
-    const bool may_redial = co.reused && !redialed;
     // Every exit from the attempt below funnels through exactly one
     // ::close(co.fd) — a second close could hit a recycled fd number owned
     // by another thread.
@@ -343,13 +336,14 @@ Bytes TcpConnectionPool::call(const std::string& endpoint, const Bytes& request,
       }
       set_timeouts(co.fd, read_budget);
       std::optional<Bytes> reply = read_frame(co.fd, &reply_bytes);
-      if (stats_) stats_->add_bytes_received(reply_bytes);
       if (reply) {
+        if (stats_) stats_->add_bytes_received(reply_bytes);
         checkin(endpoint, co.fd);
         return std::move(*reply);
       }
-      // Clean EOF before any reply byte: fall through to the close-and-
-      // decide block below.
+      // Clean EOF before any reply byte: the peer saw the full request
+      // before closing, so it may have executed it.
+      throw TransportError("connection closed before reply", /*maybe_executed=*/true);
     } catch (TimeoutError& e) {
       // The peer is alive but slow; the deadline is spent either way. A
       // post-write timeout leaves the request possibly executed remotely.
@@ -361,26 +355,19 @@ Bytes TcpConnectionPool::call(const std::string& endpoint, const Bytes& request,
       if (sent_fully) e.set_maybe_executed(true);
       if (stats_) stats_->add_bytes_received(reply_bytes);
       ::close(co.fd);
-      if (may_redial && reply_bytes == 0 && (!sent_fully || idempotent)) {
-        if (stats_) stats_->add_redial();
-        log_debug("stale pooled connection to ", endpoint, ", redialing");
-        // Its pooled siblings are the same vintage; make the redial (and
-        // whoever checks out next) dial fresh rather than inherit them.
-        flush_endpoint(endpoint);
-        continue;
+      // Redial once, on a pooled connection only: a fresh dial's failure is
+      // a real signal, not pool staleness. Never once a byte of the reply
+      // was consumed — a torn reply must surface, not be re-requested.
+      if (!co.reused || redialed || reply_bytes > 0 ||
+          !may_reissue(Reissue::Failover, idempotent, &e)) {
+        throw;
       }
-      throw;
-    }
-    ::close(co.fd);
-    if (may_redial && idempotent) {
       if (stats_) stats_->add_redial();
       log_debug("stale pooled connection to ", endpoint, ", redialing");
+      // Its pooled siblings are the same vintage; make the redial (and
+      // whoever checks out next) dial fresh rather than inherit them.
       flush_endpoint(endpoint);
-      continue;
     }
-    // Clean post-write EOF on a non-redialable call: the peer saw the full
-    // request before closing, so it may have executed it.
-    throw TransportError("connection closed before reply", /*maybe_executed=*/true);
   }
 }
 
@@ -404,17 +391,17 @@ void TcpConnectionPool::send(const std::string& endpoint, const Bytes& request,
     } catch (const TimeoutError&) {
       ::close(co.fd);
       throw;  // budget spent; a redial would double it
-    } catch (const TransportError&) {
+    } catch (const TransportError& e) {
       ::close(co.fd);
       // A failed write delivered no complete frame; retry once on a fresh
       // socket when the failure came from a pooled (possibly stale)
-      // connection. Safe regardless of idempotence.
-      if (co.reused && !redialed) {
-        if (stats_) stats_->add_redial();
-        flush_endpoint(endpoint);
-        continue;
+      // connection.
+      if (!co.reused || redialed ||
+          !may_reissue(Reissue::Failover, /*idempotent=*/false, &e)) {
+        throw;
       }
-      throw;
+      if (stats_) stats_->add_redial();
+      flush_endpoint(endpoint);
     }
   }
 }

@@ -2,6 +2,10 @@
 // the interceptor-based adaptation path (paper SVI future work, X1).
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <thread>
+
 #include "core/baseline_proxy.h"
 #include "core/infrastructure.h"
 #include "core/interceptor.h"
@@ -152,6 +156,83 @@ TEST_F(BaselineTest, InterceptorNoComponentThrows) {
   caller.add(std::make_shared<RebindInterceptor>(client_orb, infra_.lookup_ref(),
                                                  "HelloService"));
   EXPECT_THROW(caller.invoke(ObjectRef{}, "whoami"), Error);
+}
+
+// ---- interceptor re-issue gate ---------------------------------------------
+
+/// FailoverGateTest's shape for the interceptor path: a slow TCP replica
+/// (operations stall past the client's request timeout, so the failure
+/// strikes after the request was written) preferred over a healthy
+/// in-process one. Both count the "submit" executions they run.
+class InterceptorGateTest : public ::testing::Test {
+ protected:
+  InterceptorGateTest() {
+    trading::ServiceTypeDef type;
+    type.name = "Svc";
+    infra_.trader().types().add(type);
+
+    server_ = orb::Orb::create(orb::OrbConfig{
+        .name = "icpgate-srv" + std::to_string(counter_), .listen_tcp = true});
+    auto slow = FunctionServant::make("Svc");
+    slow->on("getvalue", [](const ValueList&) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(600));
+      return Value("slow");
+    });
+    slow->on("submit", [this](const ValueList&) {
+      ++submits_;
+      std::this_thread::sleep_for(std::chrono::milliseconds(600));
+      return Value("slow");
+    });
+    infra_.trader().export_offer("Svc", server_->register_servant(slow), {});
+
+    fast_orb_ = infra_.make_orb("icpgate-fast" + std::to_string(counter_));
+    auto fast = FunctionServant::make("Svc");
+    fast->on("getvalue", [](const ValueList&) { return Value("fast"); });
+    fast->on("submit", [this](const ValueList&) {
+      ++submits_;
+      return Value("fast");
+    });
+    infra_.trader().export_offer("Svc", fast_orb_->register_servant(fast), {});
+
+    client_ = orb::Orb::create(orb::OrbConfig{
+        .name = "icpgate-cli" + std::to_string(counter_++), .request_timeout = 0.2});
+  }
+
+  ~InterceptorGateTest() override { server_->shutdown(); }
+
+  InterceptedCaller make_caller() {
+    InterceptedCaller caller(client_);
+    caller.add(std::make_shared<RebindInterceptor>(client_, infra_.lookup_ref(), "Svc"));
+    return caller;
+  }
+
+  Infrastructure infra_{InfrastructureOptions{.name = "icg" + std::to_string(counter_)}};
+  orb::OrbPtr server_;
+  orb::OrbPtr fast_orb_;
+  orb::OrbPtr client_;
+  std::atomic<int> submits_{0};
+  static int counter_;
+};
+
+int InterceptorGateTest::counter_ = 0;
+
+TEST_F(InterceptorGateTest, PostSendTimeoutReissuesOnlyIdempotentCalls) {
+  // Idempotent: re-running is safe, so the rebind interceptor fails over.
+  auto caller = make_caller();
+  EXPECT_EQ(caller.invoke(ObjectRef{}, "getvalue").as_string(), "fast");
+
+  // Non-idempotent: the slow replica may already be running it, so no
+  // interceptor may send it to the other replica — the timeout surfaces.
+  auto caller2 = make_caller();
+  try {
+    caller2.invoke(ObjectRef{}, "submit");
+    FAIL() << "expected TimeoutError";
+  } catch (const orb::TransportError& e) {
+    EXPECT_TRUE(e.maybe_executed());
+  }
+  // Wait out the stalled dispatch: submit ran once, on the slow replica.
+  std::this_thread::sleep_for(std::chrono::milliseconds(700));
+  EXPECT_EQ(submits_.load(), 1);
 }
 
 }  // namespace

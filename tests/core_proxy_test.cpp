@@ -394,6 +394,27 @@ TEST_F(ProxyTest, FailoverOnDeadComponent) {
   EXPECT_EQ(proxy->invoke("whoami").as_string(), "host-b") << "transparent failover";
 }
 
+TEST_F(ProxyTest, FailoverDetachesFromTheFailedComponentsMonitor) {
+  const ObjectRef a = deploy("host-a");
+  deploy("host-b");
+  auto proxy = infra_.make_proxy(default_config());
+  proxy->add_interest("LoadIncrease", "function(o, v, m) return false end");
+  ASSERT_TRUE(proxy->select());
+  ASSERT_TRUE(proxy->current() == a);
+  const ObjectRef old_monitor = proxy->current_monitor().ref();
+  ASSERT_FALSE(old_monitor.empty());
+  const auto observers = [&] {
+    return proxy->orb()->invoke(old_monitor, "observerCount").as_number();
+  };
+  const double before = observers();
+
+  // host-a's server dies but its monitor lives on: after the failover the
+  // proxy must no longer observe it, exactly as after a strategy rebind.
+  infra_.host_orb("host-a")->unregister_servant(a.object_id);
+  EXPECT_EQ(proxy->invoke("whoami").as_string(), "host-b");
+  EXPECT_EQ(observers(), before - 1);
+}
+
 TEST_F(ProxyTest, FailoverDisabledPropagatesError) {
   const ObjectRef a = deploy("host-a");
   SmartProxyConfig cfg = default_config();

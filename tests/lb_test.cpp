@@ -548,7 +548,10 @@ class FailoverGateTest : public ::testing::Test {
     auto fast_orb = infra_.make_orb("lbgate-fast" + std::to_string(counter_));
     auto fast = FunctionServant::make("Svc");
     fast->on("getvalue", [](const ValueList&) { return Value("fast"); });
-    fast->on("submit", [](const ValueList&) { return Value("fast"); });
+    fast->on("submit", [this](const ValueList&) {
+      ++fast_submits_;
+      return Value("fast");
+    });
     fast_ref_ = fast_orb->register_servant(fast);
     infra_.trader().export_offer("Svc", fast_ref_, {});
     fast_orb_ = fast_orb;
@@ -559,11 +562,27 @@ class FailoverGateTest : public ::testing::Test {
 
   ~FailoverGateTest() override { server_->shutdown(); }
 
-  core::SmartProxyPtr make_proxy() {
+  core::SmartProxyPtr make_proxy(const std::string& lb_policy = "sticky") {
     SmartProxyConfig cfg;
     cfg.service_type = "Svc";
     cfg.monitor_property = "";
+    cfg.lb_policy = lb_policy;
     return SmartProxy::create(client_, infra_.trader().lookup_ref(), cfg);
+  }
+
+  /// Invokes the non-idempotent "submit", which lands on the slow replica:
+  /// the post-send timeout must surface, and once the stalled dispatch is
+  /// over, submit must have run there exactly once and never elsewhere.
+  void expect_submit_surfaces_and_runs_once(SmartProxy& proxy) {
+    try {
+      proxy.invoke("submit");
+      FAIL() << "expected TimeoutError";
+    } catch (const orb::TransportError& e) {
+      EXPECT_TRUE(e.maybe_executed());
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(700));
+    EXPECT_EQ(submits_.load(), 1);
+    EXPECT_EQ(fast_submits_.load(), 0);
   }
 
   Infrastructure infra_{InfrastructureOptions{.name = "lbg" + std::to_string(counter_)}};
@@ -573,6 +592,7 @@ class FailoverGateTest : public ::testing::Test {
   ObjectRef slow_ref_;
   ObjectRef fast_ref_;
   std::atomic<int> submits_{0};
+  std::atomic<int> fast_submits_{0};
   static int counter_;
 };
 
@@ -604,6 +624,27 @@ TEST_F(FailoverGateTest, PostSendTimeoutFailsOverOnlyWhenIdempotent) {
   // gate prevented a duplicate execution.
   std::this_thread::sleep_for(std::chrono::milliseconds(700));
   EXPECT_EQ(submits_.load(), 1);
+}
+
+TEST_F(FailoverGateTest, RoutedOperationsFailOverOnlyWhenIdempotent) {
+  // A route's own selection takes the preference winner — the slow server.
+  auto proxy = make_proxy();
+  proxy->route_operation("getvalue", "");
+  EXPECT_EQ(proxy->invoke("getvalue").as_string(), "fast");
+  EXPECT_TRUE(proxy->route_target("getvalue") == fast_ref_) << "route reselected";
+
+  auto proxy2 = make_proxy();
+  proxy2->route_operation("submit", "");
+  expect_submit_surfaces_and_runs_once(*proxy2);
+}
+
+TEST_F(FailoverGateTest, BalancedInvocationsFailOverOnlyWhenIdempotent) {
+  // Round robin starts at the first-ranked replica — the slow server.
+  auto proxy = make_proxy("round_robin");
+  EXPECT_EQ(proxy->invoke("getvalue").as_string(), "fast");
+
+  auto proxy2 = make_proxy("round_robin");
+  expect_submit_surfaces_and_runs_once(*proxy2);
 }
 
 }  // namespace

@@ -7,7 +7,10 @@
 #include <atomic>
 #include <chrono>
 #include <filesystem>
+#include <memory>
+#include <stdexcept>
 #include <thread>
+#include <vector>
 
 #include "monitor/bindings.h"
 #include "orb/orb.h"
@@ -186,6 +189,59 @@ TEST(OrbResilienceTest, RetryCountsAreExactAgainstDeadEndpoint) {
   // Non-idempotent operations never retry.
   EXPECT_THROW(client->invoke(ref, "mutate", {}), TransportError);
   EXPECT_EQ(client->stats().retries, 2u);
+}
+
+// ---- the re-issue rule ------------------------------------------------------
+
+TEST(ReissueRuleTest, DecisionTable) {
+  struct Row {
+    const char* name;
+    std::shared_ptr<const std::exception> failure;
+    bool idempotent;
+    bool retry;     // Reissue::Retry: same endpoint after a backoff
+    bool failover;  // Reissue::Failover: another target or a fresh connection
+  };
+  const auto transport = [](bool executed) {
+    return std::make_shared<TransportError>("down", executed);
+  };
+  const auto timeout = [](bool executed) {
+    return std::make_shared<TimeoutError>("slow", executed);
+  };
+  const auto missing = std::make_shared<ObjectNotFound>("gone");
+  const auto overloaded = std::make_shared<Overloaded>("busy");
+  const auto expired = std::make_shared<DeadlineExceeded>("late");
+  const auto remote = std::make_shared<RemoteError>("raised");
+  const auto bad_op = std::make_shared<BadOperation>("unknown");
+  const auto other = std::make_shared<std::runtime_error>("other");
+  const std::vector<Row> rows = {
+      {"transport, unsent, non-idempotent", transport(false), false, false, true},
+      {"transport, unsent, idempotent", transport(false), true, true, true},
+      {"transport, maybe executed, non-idempotent", transport(true), false, false, false},
+      {"transport, maybe executed, idempotent", transport(true), true, true, true},
+      {"timeout, unsent, non-idempotent", timeout(false), false, false, true},
+      {"timeout, unsent, idempotent", timeout(false), true, false, true},
+      {"timeout, maybe executed, non-idempotent", timeout(true), false, false, false},
+      {"timeout, maybe executed, idempotent", timeout(true), true, false, true},
+      {"object not found, non-idempotent", missing, false, false, true},
+      {"object not found, idempotent", missing, true, false, true},
+      {"overloaded, non-idempotent", overloaded, false, true, false},
+      {"overloaded, idempotent", overloaded, true, true, false},
+      {"deadline exceeded, non-idempotent", expired, false, false, false},
+      {"deadline exceeded, idempotent", expired, true, false, false},
+      {"remote error, idempotent", remote, true, false, false},
+      {"bad operation, idempotent", bad_op, true, false, false},
+      {"non-orb error, idempotent", other, true, false, false},
+  };
+  for (const Row& row : rows) {
+    EXPECT_EQ(may_reissue(Reissue::Retry, row.idempotent, row.failure.get()), row.retry)
+        << row.name;
+    EXPECT_EQ(may_reissue(Reissue::Failover, row.idempotent, row.failure.get()),
+              row.failover)
+        << row.name;
+  }
+  // A hedge races an attempt that may yet execute.
+  EXPECT_TRUE(may_reissue(Reissue::Hedge, /*idempotent=*/true));
+  EXPECT_FALSE(may_reissue(Reissue::Hedge, /*idempotent=*/false));
 }
 
 // ---- deadlines ------------------------------------------------------------
