@@ -2,7 +2,8 @@
 # Tier-1 verify, optionally under a sanitizer preset.
 #
 #   scripts/check.sh            # plain RelWithDebInfo build + ctest + bench JSON
-#                               # + a short replica_brownout benchmark run
+#                               # + short replica_brownout and adapt_churn
+#                               # benchmark runs
 #   scripts/check.sh tsan       # ThreadSanitizer build + ctest
 #   scripts/check.sh asan       # Address+UB sanitizer build + ctest
 #   scripts/check.sh all        # default, then tsan, then asan
@@ -190,24 +191,32 @@ print(f"    overload gate OK: 2x goodput {ratio * 100:.0f}% of capacity, "
 EOF
 }
 
-# Benchmark smoke run: a short replica_brownout run of the repository
-# benchmark (perfbench/run.py builds its own tree under .bench_build). Its
-# at-most-once write check drives the proxy's balanced attempt loop, with
-# hedging and deadlines, over TCP; the check fails unless the result line
-# (the last line of output) reports "correct": true.
-run_brownout_smoke() {
-  echo "==> perfbench replica_brownout smoke run"
+# Benchmark smoke runs: a 2 s run of one workload of the repository
+# benchmark (perfbench/run.py builds its own tree under .bench_build). The
+# check fails unless the result line (the last line of output) reports
+# "correct": true.
+#   replica_brownout: the at-most-once write check drives the proxy's
+#     balanced attempt loop, with hedging and deadlines, over TCP.
+#   adapt_churn: the paper's adaptation loop; its checks cover outputs
+#     (replies from the bound host, no proxy left on a spiked host), the
+#     determinism self-test and the return of fds and threads.
+run_perfbench_smoke() {
+  local workload="$1"
+  echo "==> perfbench ${workload} smoke run"
   local result
-  result="$(python3 perfbench/run.py --workload replica_brownout --seed 1 --seconds 2 \
+  result="$(python3 perfbench/run.py --workload "${workload}" --seed 1 --seconds 2 \
     --trace 0 | tail -n 1)"
-  python3 - "${result}" <<'EOF'
+  python3 - "${workload}" "${result}" <<'EOF'
 import json, sys
-result = json.loads(sys.argv[1])
-assert result["correct"] is True, f"replica_brownout run not correct: {sys.argv[1]}"
-print(f"    replica_brownout smoke OK: {result['attempted']} attempted, "
+workload, result = sys.argv[1], json.loads(sys.argv[2])
+assert result["correct"] is True, f"{workload} run not correct: {sys.argv[2]}"
+print(f"    {workload} smoke OK: {result['attempted']} attempted, "
       f"{result['failed']} failed")
 EOF
 }
+
+run_brownout_smoke() { run_perfbench_smoke replica_brownout; }
+run_churn_smoke() { run_perfbench_smoke adapt_churn; }
 
 # Extracts every R"LUMA(...)LUMA" block embedded in examples/ and tests/
 # sources and runs the Luma static analyzer over it (shell policy, full
@@ -302,6 +311,7 @@ case "${1:-default}" in
     run_luma_analysis_gate
     run_overload_gate
     run_brownout_smoke
+    run_churn_smoke
     ;;
   tsan|asan)
     run_preset "$1"
@@ -320,6 +330,7 @@ case "${1:-default}" in
     run_luma_analysis_gate
     run_overload_gate
     run_brownout_smoke
+    run_churn_smoke
     run_preset tsan
     run_preset asan
     ;;

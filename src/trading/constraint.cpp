@@ -1,5 +1,7 @@
 #include "trading/constraint.h"
 
+#include <algorithm>
+#include <array>
 #include <cctype>
 #include <cmath>
 #include <cstdlib>
@@ -24,6 +26,7 @@ struct CNode {
   COp op;
   double number = 0;
   std::string text;  // string literal or property name
+  size_t slot = 0;   // property name's index in Constraint::slots_
   CNodePtr lhs;
   CNodePtr rhs;
 };
@@ -319,24 +322,37 @@ class CParser {
 
 // ---- evaluator ------------------------------------------------------------
 
-/// Raised internally when evaluation touches an undefined property; caught
-/// at the top level to yield "constraint false" per OMG semantics.
-struct UndefinedProperty {
-  std::string name;
+/// An evaluation result that borrows instead of owning: strings and tables
+/// point into the tree or into values the SlotLookup keeps alive, so
+/// evaluating allocates nothing. `Error` is absorbing: an undefined property
+/// or an ill-typed operand anywhere makes the whole expression fail for that
+/// offer (OMG semantics), and nothing after it is evaluated.
+struct Eval {
+  enum class Type : uint8_t { Error, Bool, Number, String, Table, Other };
+  Type type = Type::Error;
+  bool boolean = false;
+  double number = 0;
+  const std::string* string = nullptr;
+  const Table* table = nullptr;
+
+  [[nodiscard]] bool failed() const { return type == Type::Error; }
 };
 
-Value eval_node(const CNode& n, const PropertyLookup& props);
+constexpr Eval kError{};
 
-bool eval_bool(const CNode& n, const PropertyLookup& props) {
-  const Value v = eval_node(n, props);
-  if (v.is_bool()) return v.as_bool();
-  throw IllegalConstraint("expression is not boolean: got " + std::string(v.type_name()));
-}
+Eval of_bool(bool b) { return Eval{Eval::Type::Bool, b}; }
+Eval of_number(double n) { return Eval{Eval::Type::Number, false, n}; }
 
-double eval_num(const CNode& n, const PropertyLookup& props) {
-  const Value v = eval_node(n, props);
-  if (v.is_number()) return v.as_number();
-  throw IllegalConstraint("expression is not numeric: got " + std::string(v.type_name()));
+Eval of_value(const Value* v) {
+  if (v == nullptr) return kError;  // undefined property
+  switch (v->type()) {
+    case Value::Type::Bool: return of_bool(v->as_bool());
+    case Value::Type::Number: return of_number(v->as_number());
+    case Value::Type::String: return Eval{Eval::Type::String, false, 0, &v->as_string()};
+    case Value::Type::Table:
+      return Eval{Eval::Type::Table, false, 0, nullptr, v->as_table().get()};
+    default: return Eval{Eval::Type::Other};
+  }
 }
 
 enum class RelKind { Eq, Ne, Lt, Le, Gt, Ge };
@@ -345,109 +361,191 @@ enum class RelKind { Eq, Ne, Lt, Le, Gt, Ge };
 /// false against NaN; != is true), strings compare lexicographically,
 /// booleans as false < true. Mixed types: == false, != true, orderings are
 /// a type error (constraint fails for that offer).
-bool compare_rel(RelKind op, const Value& a, const Value& b) {
-  if (a.is_number() && b.is_number()) {
-    const double x = a.as_number();
-    const double y = b.as_number();
+Eval compare_rel(RelKind op, const Eval& a, const Eval& b) {
+  using T = Eval::Type;
+  if (a.type == T::Number && b.type == T::Number) {
+    const double x = a.number;
+    const double y = b.number;
     switch (op) {
-      case RelKind::Eq: return x == y;
-      case RelKind::Ne: return x != y;
-      case RelKind::Lt: return x < y;
-      case RelKind::Le: return x <= y;
-      case RelKind::Gt: return x > y;
-      case RelKind::Ge: return x >= y;
+      case RelKind::Eq: return of_bool(x == y);
+      case RelKind::Ne: return of_bool(x != y);
+      case RelKind::Lt: return of_bool(x < y);
+      case RelKind::Le: return of_bool(x <= y);
+      case RelKind::Gt: return of_bool(x > y);
+      case RelKind::Ge: return of_bool(x >= y);
     }
   }
   int cmp;
-  if (a.is_string() && b.is_string()) {
-    cmp = a.as_string().compare(b.as_string());
-  } else if (a.is_bool() && b.is_bool()) {
-    cmp = static_cast<int>(a.as_bool()) - static_cast<int>(b.as_bool());
+  if (a.type == T::String && b.type == T::String) {
+    cmp = a.string->compare(*b.string);
+  } else if (a.type == T::Bool && b.type == T::Bool) {
+    cmp = static_cast<int>(a.boolean) - static_cast<int>(b.boolean);
   } else {
-    if (op == RelKind::Eq) return false;
-    if (op == RelKind::Ne) return true;
-    throw IllegalConstraint(std::string("cannot compare ") + a.type_name() + " with " +
-                            b.type_name());
+    if (op == RelKind::Eq) return of_bool(false);
+    if (op == RelKind::Ne) return of_bool(true);
+    return kError;
   }
   switch (op) {
-    case RelKind::Eq: return cmp == 0;
-    case RelKind::Ne: return cmp != 0;
-    case RelKind::Lt: return cmp < 0;
-    case RelKind::Le: return cmp <= 0;
-    case RelKind::Gt: return cmp > 0;
-    case RelKind::Ge: return cmp >= 0;
+    case RelKind::Eq: return of_bool(cmp == 0);
+    case RelKind::Ne: return of_bool(cmp != 0);
+    case RelKind::Lt: return of_bool(cmp < 0);
+    case RelKind::Le: return of_bool(cmp <= 0);
+    case RelKind::Gt: return of_bool(cmp > 0);
+    case RelKind::Ge: return of_bool(cmp >= 0);
   }
-  throw IllegalConstraint("internal: unknown relational operator");
+  return kError;
 }
 
-Value eval_node(const CNode& n, const PropertyLookup& props) {
+RelKind rel_kind(COp op) {
+  switch (op) {
+    case COp::Eq: return RelKind::Eq;
+    case COp::Ne: return RelKind::Ne;
+    case COp::Lt: return RelKind::Lt;
+    case COp::Le: return RelKind::Le;
+    case COp::Gt: return RelKind::Gt;
+    default: return RelKind::Ge;
+  }
+}
+
+Eval eval_node(const CNode& n, SlotLookup& props);
+
+/// Evaluates `n` and requires a boolean; anything else is an error.
+Eval eval_bool(const CNode& n, SlotLookup& props) {
+  const Eval v = eval_node(n, props);
+  return v.type == Eval::Type::Bool ? v : kError;
+}
+
+/// Evaluates `n` and requires a number; anything else is an error.
+Eval eval_num(const CNode& n, SlotLookup& props) {
+  const Eval v = eval_node(n, props);
+  return v.type == Eval::Type::Number ? v : kError;
+}
+
+Eval arithmetic(const CNode& n, SlotLookup& props) {
+  const Eval a = eval_num(*n.lhs, props);
+  if (a.failed()) return kError;
+  const Eval b = eval_num(*n.rhs, props);
+  if (b.failed()) return kError;
   switch (n.op) {
-    case COp::Number: return Value(n.number);
-    case COp::String: return Value(n.text);
-    case COp::Bool: return Value(n.number != 0);
-    case COp::Property: {
-      std::optional<Value> v = props(n.text);
-      if (!v) throw UndefinedProperty{n.text};
-      return std::move(*v);
-    }
-    case COp::Exist:
-      return Value(props(n.text).has_value());
+    case COp::Add: return of_number(a.number + b.number);
+    case COp::Sub: return of_number(a.number - b.number);
+    case COp::Mul: return of_number(a.number * b.number);
+    default: return of_number(a.number / b.number);
+  }
+}
+
+Eval eval_node(const CNode& n, SlotLookup& props) {
+  switch (n.op) {
+    case COp::Number: return of_number(n.number);
+    case COp::String: return Eval{Eval::Type::String, false, 0, &n.text};
+    case COp::Bool: return of_bool(n.number != 0);
+    case COp::Property: return of_value(props.get(n.slot));
+    case COp::Exist: return of_bool(props.get(n.slot) != nullptr);
     case COp::Or: {
       // OMG semantics: an undefined property anywhere fails the whole
       // constraint, so both sides evaluate strictly — but short-circuit on a
       // defined true lhs is still sound and avoids dynamic-property calls.
-      if (eval_bool(*n.lhs, props)) return Value(true);
-      return Value(eval_bool(*n.rhs, props));
+      const Eval lhs = eval_bool(*n.lhs, props);
+      if (lhs.failed() || lhs.boolean) return lhs;
+      return eval_bool(*n.rhs, props);
     }
     case COp::And: {
-      if (!eval_bool(*n.lhs, props)) return Value(false);
-      return Value(eval_bool(*n.rhs, props));
+      const Eval lhs = eval_bool(*n.lhs, props);
+      if (lhs.failed() || !lhs.boolean) return lhs;
+      return eval_bool(*n.rhs, props);
     }
-    case COp::Not:
-      return Value(!eval_bool(*n.lhs, props));
+    case COp::Not: {
+      const Eval v = eval_bool(*n.lhs, props);
+      return v.failed() ? v : of_bool(!v.boolean);
+    }
     case COp::Eq:
-      return Value(compare_rel(RelKind::Eq, eval_node(*n.lhs, props), eval_node(*n.rhs, props)));
     case COp::Ne:
-      return Value(compare_rel(RelKind::Ne, eval_node(*n.lhs, props), eval_node(*n.rhs, props)));
     case COp::Lt:
-      return Value(compare_rel(RelKind::Lt, eval_node(*n.lhs, props), eval_node(*n.rhs, props)));
     case COp::Le:
-      return Value(compare_rel(RelKind::Le, eval_node(*n.lhs, props), eval_node(*n.rhs, props)));
     case COp::Gt:
-      return Value(compare_rel(RelKind::Gt, eval_node(*n.lhs, props), eval_node(*n.rhs, props)));
-    case COp::Ge:
-      return Value(compare_rel(RelKind::Ge, eval_node(*n.lhs, props), eval_node(*n.rhs, props)));
+    case COp::Ge: {
+      const Eval a = eval_node(*n.lhs, props);
+      if (a.failed()) return kError;
+      const Eval b = eval_node(*n.rhs, props);
+      if (b.failed()) return kError;
+      return compare_rel(rel_kind(n.op), a, b);
+    }
     case COp::Substr: {
-      const Value a = eval_node(*n.lhs, props);
-      const Value b = eval_node(*n.rhs, props);
-      if (!a.is_string() || !b.is_string()) {
-        throw IllegalConstraint("'~' requires string operands");
-      }
-      return Value(b.as_string().find(a.as_string()) != std::string::npos);
+      const Eval a = eval_node(*n.lhs, props);
+      if (a.failed()) return kError;
+      const Eval b = eval_node(*n.rhs, props);
+      if (a.type != Eval::Type::String || b.type != Eval::Type::String) return kError;
+      return of_bool(b.string->find(*a.string) != std::string::npos);
     }
     case COp::In: {
-      const Value item = eval_node(*n.lhs, props);
-      const Value seq = eval_node(*n.rhs, props);
-      if (!seq.is_table()) throw IllegalConstraint("'in' requires a sequence rhs");
-      const Table& t = *seq.as_table();
-      for (int64_t i = 1; i <= t.length(); ++i) {
-        if (compare_rel(RelKind::Eq, t.geti(i), item)) return Value(true);
+      const Eval item = eval_node(*n.lhs, props);
+      if (item.failed()) return kError;
+      const Eval seq = eval_node(*n.rhs, props);
+      if (seq.type != Eval::Type::Table) return kError;
+      // The sequence part of the table: integer keys 1..length().
+      const int64_t length = seq.table->length();
+      for (const auto& [key, element] : *seq.table) {
+        if (!key.is_int() || key.as_int() < 1 || key.as_int() > length) continue;
+        const Eval e = compare_rel(RelKind::Eq, of_value(&element), item);
+        if (e.boolean) return of_bool(true);
       }
-      return Value(false);
+      return of_bool(false);
     }
-    case COp::Add: return Value(eval_num(*n.lhs, props) + eval_num(*n.rhs, props));
-    case COp::Sub: return Value(eval_num(*n.lhs, props) - eval_num(*n.rhs, props));
-    case COp::Mul: return Value(eval_num(*n.lhs, props) * eval_num(*n.rhs, props));
-    case COp::Div: return Value(eval_num(*n.lhs, props) / eval_num(*n.rhs, props));
-    case COp::Neg: return Value(-eval_num(*n.lhs, props));
+    case COp::Add:
+    case COp::Sub:
+    case COp::Mul:
+    case COp::Div: return arithmetic(n, props);
+    case COp::Neg: {
+      const Eval v = eval_num(*n.lhs, props);
+      return v.failed() ? v : of_number(-v.number);
+    }
   }
-  throw IllegalConstraint("internal: unknown constraint node");
+  return kError;
 }
+
+/// Adapts a name-keyed PropertyLookup onto slots; each name is looked up at
+/// most once per evaluation. Small expressions keep their values inline.
+class NamedSlots final : public SlotLookup {
+ public:
+  NamedSlots(const std::vector<std::string>& names, const PropertyLookup& lookup)
+      : names_(names), lookup_(lookup) {
+    if (names.size() > kInline) spill_.resize(names.size());
+  }
+
+  const Value* get(size_t slot) override {
+    Looked& l = names_.size() > kInline ? spill_[slot] : inline_[slot];
+    if (!l.done) {
+      l.value = lookup_(names_[slot]);
+      l.done = true;
+    }
+    return l.value ? &*l.value : nullptr;
+  }
+
+ private:
+  static constexpr size_t kInline = 4;
+  struct Looked {
+    bool done = false;
+    std::optional<Value> value;
+  };
+  const std::vector<std::string>& names_;
+  const PropertyLookup& lookup_;
+  std::array<Looked, kInline> inline_;
+  std::vector<Looked> spill_;
+};
 
 void collect_properties(const CNode& n, std::set<std::string>& out) {
   if (n.op == COp::Property || n.op == COp::Exist) out.insert(n.text);
   if (n.lhs) collect_properties(*n.lhs, out);
   if (n.rhs) collect_properties(*n.rhs, out);
+}
+
+void assign_slots(CNode& n, const std::vector<std::string>& slots) {
+  if (n.op == COp::Property || n.op == COp::Exist) {
+    n.slot = static_cast<size_t>(std::lower_bound(slots.begin(), slots.end(), n.text) -
+                                 slots.begin());
+  }
+  if (n.lhs) assign_slots(*n.lhs, slots);
+  if (n.rhs) assign_slots(*n.rhs, slots);
 }
 
 bool is_blank(std::string_view text) {
@@ -469,39 +567,36 @@ Constraint Constraint::parse(std::string_view text) {
   c.text_ = std::string(text);
   if (!detail::is_blank(text)) {
     c.root_ = detail::CParser(text).parse();
+    std::set<std::string> names;
+    detail::collect_properties(*c.root_, names);
+    c.slots_.assign(names.begin(), names.end());
+    detail::assign_slots(*c.root_, c.slots_);
   }
   return c;
 }
 
-bool Constraint::matches(const PropertyLookup& props) const {
+bool Constraint::matches(SlotLookup& props) const {
   if (!root_) return true;
-  try {
-    return detail::eval_bool(*root_, props);
-  } catch (const detail::UndefinedProperty&) {
-    return false;  // OMG: undefined property => offer does not match
-  } catch (const IllegalConstraint&) {
-    return false;  // type mismatch during evaluation => no match
-  }
+  const detail::Eval v = detail::eval_bool(*root_, props);
+  return !v.failed() && v.boolean;  // OMG: undefined or ill-typed => no match
+}
+
+bool Constraint::matches(const PropertyLookup& props) const {
+  detail::NamedSlots slots(slots_, props);
+  return matches(slots);
+}
+
+std::optional<double> Constraint::evaluate_numeric(SlotLookup& props) const {
+  if (!root_) return std::nullopt;
+  const detail::Eval v = detail::eval_node(*root_, props);
+  if (v.type == detail::Eval::Type::Number) return v.number;
+  if (v.type == detail::Eval::Type::Bool) return v.boolean ? 1.0 : 0.0;
+  return std::nullopt;
 }
 
 std::optional<double> Constraint::evaluate_numeric(const PropertyLookup& props) const {
-  if (!root_) return std::nullopt;
-  try {
-    const Value v = detail::eval_node(*root_, props);
-    if (v.is_number()) return v.as_number();
-    if (v.is_bool()) return v.as_bool() ? 1.0 : 0.0;
-    return std::nullopt;
-  } catch (const detail::UndefinedProperty&) {
-    return std::nullopt;
-  } catch (const IllegalConstraint&) {
-    return std::nullopt;
-  }
-}
-
-std::vector<std::string> Constraint::referenced_properties() const {
-  std::set<std::string> set;
-  if (root_) detail::collect_properties(*root_, set);
-  return {set.begin(), set.end()};
+  detail::NamedSlots slots(slots_, props);
+  return evaluate_numeric(slots);
 }
 
 Preference Preference::parse(std::string_view text) {
@@ -545,6 +640,40 @@ Preference Preference::parse(std::string_view text) {
     throw IllegalPreference(std::string("bad preference expression: ") + e.what());
   }
   throw IllegalPreference("unknown preference: '" + std::string(body) + "'");
+}
+
+// ---- ParseCache --------------------------------------------------------------
+
+template <class T>
+std::shared_ptr<const T> ParseCache::get(Shelf<T>& shelf, const std::string& text) {
+  {
+    std::scoped_lock lock(mu_);
+    if (const auto it = shelf.entries.find(text); it != shelf.entries.end()) {
+      it->second.last_use = ++tick_;
+      return it->second.parsed;
+    }
+  }
+  // Parse outside the lock; a syntax error throws before anything is cached.
+  auto parsed = std::make_shared<const T>(T::parse(text));
+  std::scoped_lock lock(mu_);
+  if (shelf.entries.size() >= kCapacity && shelf.entries.count(text) == 0) {
+    const auto lru = std::min_element(
+        shelf.entries.begin(), shelf.entries.end(),
+        [](const auto& a, const auto& b) { return a.second.last_use < b.second.last_use; });
+    shelf.entries.erase(lru);
+  }
+  auto& entry = shelf.entries[text];
+  if (!entry.parsed) entry.parsed = std::move(parsed);
+  entry.last_use = ++tick_;
+  return entry.parsed;
+}
+
+std::shared_ptr<const Constraint> ParseCache::constraint(const std::string& text) {
+  return get(constraints_, text);
+}
+
+std::shared_ptr<const Preference> ParseCache::preference(const std::string& text) {
+  return get(preferences_, text);
 }
 
 }  // namespace adapt::trading

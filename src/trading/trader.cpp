@@ -65,13 +65,13 @@ PropertyMap Trader::property_map_from_value(const Value& v) {
   return props;
 }
 
-Value Trader::offer_info_to_value(const OfferInfo& info) {
+Value Trader::offer_info_to_value(OfferInfo info) {
   auto t = Table::make();
-  t->set(Value("id"), Value(info.offer_id));
-  t->set(Value("type"), Value(info.service_type));
-  t->set(Value("provider"), Value(info.provider));
+  t->set(Value("id"), Value(std::move(info.offer_id)));
+  t->set(Value("type"), Value(std::move(info.service_type)));
+  t->set(Value("provider"), Value(std::move(info.provider)));
   auto props = Table::make();
-  for (const auto& [name, value] : info.properties) props->set(Value(name), value);
+  for (auto& [name, value] : info.properties) props->set(Value(name), std::move(value));
   t->set(Value("properties"), Value(std::move(props)));
   return Value(std::move(t));
 }
@@ -156,7 +156,8 @@ void Trader::register_servants() {
         args.size() > 4 ? policies_from_value(args[4]) : LookupPolicies{};
     auto results = query(type, constraint, preference, desired, policies);
     auto out = Table::make();
-    for (const OfferInfo& info : results) out->append(offer_info_to_value(info));
+    int64_t index = 0;
+    for (OfferInfo& info : results) out->seti(++index, offer_info_to_value(std::move(info)));
     return Value(std::move(out));
   });
   lookup_ref_ = orb_->register_servant(lookup, config_.name + "/lookup");
@@ -265,26 +266,58 @@ void Trader::validate_offer(const std::string& service_type, const ObjectRef& pr
   }
 }
 
+std::vector<Trader::OfferPtr>::iterator Trader::sequence_slot_locked(uint64_t sequence) {
+  return std::lower_bound(
+      by_sequence_.begin(), by_sequence_.end(), sequence,
+      [](const OfferPtr& o, uint64_t seq) { return o->sequence < seq; });
+}
+
+void Trader::publish_locked(OfferPtr offer) {
+  const auto pos = sequence_slot_locked(offer->sequence);
+  if (pos != by_sequence_.end() && (*pos)->sequence == offer->sequence) {
+    *pos = offer;
+  } else {
+    by_sequence_.insert(pos, offer);
+  }
+  offers_[offer->id] = std::move(offer);
+  snapshot_.reset();
+}
+
+void Trader::erase_locked(std::map<std::string, OfferPtr>::iterator it) {
+  by_sequence_.erase(sequence_slot_locked(it->second->sequence));
+  offers_.erase(it);
+  snapshot_.reset();
+}
+
+template <class Pred>
+size_t Trader::erase_offers_locked(Pred pred) {
+  snapshot_.reset();
+  std::erase_if(by_sequence_, [&](const OfferPtr& o) { return pred(*o); });
+  return std::erase_if(offers_, [&](const auto& entry) { return pred(*entry.second); });
+}
+
 std::string Trader::export_offer(const std::string& service_type, const ObjectRef& provider,
                                  PropertyMap properties, double lease_seconds) {
   validate_offer(service_type, provider, properties);
+  auto offer = std::make_shared<ServiceOffer>();
+  offer->service_type = service_type;
+  offer->provider = provider;
+  offer->properties = std::move(properties);
   std::scoped_lock lock(mu_);
-  ServiceOffer offer;
-  offer.id = config_.name + "-offer-" + std::to_string(next_offer_++);
-  offer.service_type = service_type;
-  offer.provider = provider;
-  offer.properties = std::move(properties);
-  offer.sequence = sequence_++;
-  offer.expires_at = lease_seconds > 0 ? clock_->now() + lease_seconds : 0;
-  const std::string id = offer.id;
-  offers_[id] = std::move(offer);
+  offer->id = config_.name + "-offer-" + std::to_string(next_offer_++);
+  offer->sequence = sequence_++;
+  offer->expires_at = lease_seconds > 0 ? clock_->now() + lease_seconds : 0;
+  const std::string id = offer->id;
+  publish_locked(std::move(offer));
   log_debug("trader ", config_.name, ": exported ", id, " type=", service_type);
   return id;
 }
 
 void Trader::withdraw(const std::string& offer_id) {
   std::scoped_lock lock(mu_);
-  if (offers_.erase(offer_id) == 0) throw UnknownOffer("no such offer: " + offer_id);
+  const auto it = offers_.find(offer_id);
+  if (it == offers_.end()) throw UnknownOffer("no such offer: " + offer_id);
+  erase_locked(it);
 }
 
 void Trader::refresh(const std::string& offer_id, double lease_seconds) {
@@ -292,69 +325,57 @@ void Trader::refresh(const std::string& offer_id, double lease_seconds) {
   const auto it = offers_.find(offer_id);
   const double now = clock_->now();
   if (it == offers_.end() ||
-      (it->second.expires_at > 0 && it->second.expires_at <= now)) {
-    offers_.erase(offer_id);
+      (it->second->expires_at > 0 && it->second->expires_at <= now)) {
+    if (it != offers_.end()) erase_locked(it);
     throw UnknownOffer("no such live offer: " + offer_id);
   }
-  it->second.expires_at = lease_seconds > 0 ? now + lease_seconds : 0;
+  auto renewed = std::make_shared<ServiceOffer>(*it->second);
+  renewed->expires_at = lease_seconds > 0 ? now + lease_seconds : 0;
+  publish_locked(std::move(renewed));
 }
 
 size_t Trader::purge_expired() {
   std::scoped_lock lock(mu_);
   const double now = clock_->now();
-  size_t removed = 0;
-  for (auto it = offers_.begin(); it != offers_.end();) {
-    if (it->second.expires_at > 0 && it->second.expires_at <= now) {
-      it = offers_.erase(it);
-      ++removed;
-    } else {
-      ++it;
-    }
-  }
-  return removed;
+  return erase_offers_locked(
+      [&](const ServiceOffer& o) { return o.expires_at > 0 && o.expires_at <= now; });
 }
 
 size_t Trader::withdraw_provider(const ObjectRef& provider) {
   std::scoped_lock lock(mu_);
-  size_t removed = 0;
-  for (auto it = offers_.begin(); it != offers_.end();) {
-    if (it->second.provider == provider) {
-      it = offers_.erase(it);
-      ++removed;
-    } else {
-      ++it;
-    }
-  }
-  return removed;
+  return erase_offers_locked([&](const ServiceOffer& o) { return o.provider == provider; });
 }
 
 void Trader::modify(const std::string& offer_id, const PropertyMap& changes) {
   std::scoped_lock lock(mu_);
   const auto it = offers_.find(offer_id);
   if (it == offers_.end()) throw UnknownOffer("no such offer: " + offer_id);
-  ServiceOffer& offer = it->second;
-  const auto defs = types_.effective_properties(offer.service_type);
+  const ServiceOffer& current = *it->second;
+  const auto defs = types_.effective_properties(current.service_type);
+  // Validate every change before applying any: a rejected change leaves the
+  // published offer untouched.
   for (const auto& [name, prop] : changes) {
     const auto def = std::find_if(defs.begin(), defs.end(),
                                   [&](const PropertyDef& d) { return d.name == name; });
-    if (def != defs.end()) {
-      if (def->readonly() && offer.properties.count(name) != 0) {
-        throw PropertyMismatch("property '" + name + "' is readonly");
-      }
-      if (!prop.is_dynamic() &&
-          !ServiceTypeRepository::value_matches_type(prop.static_value(), def->type)) {
-        throw PropertyMismatch("property '" + name + "' must be " + def->type);
-      }
+    if (def == defs.end()) continue;
+    if (def->readonly() && current.properties.count(name) != 0) {
+      throw PropertyMismatch("property '" + name + "' is readonly");
     }
-    offer.properties[name] = prop;
+    if (!prop.is_dynamic() &&
+        !ServiceTypeRepository::value_matches_type(prop.static_value(), def->type)) {
+      throw PropertyMismatch("property '" + name + "' must be " + def->type);
+    }
   }
+  auto modified = std::make_shared<ServiceOffer>(current);
+  for (const auto& [name, prop] : changes) modified->properties[name] = prop;
+  publish_locked(std::move(modified));
 }
 
 ServiceOffer Trader::describe(const std::string& offer_id) const {
   std::scoped_lock lock(mu_);
   const auto it = offers_.find(offer_id);
   if (it == offers_.end()) throw UnknownOffer("no such offer: " + offer_id);
-  return it->second;
+  return *it->second;
 }
 
 std::vector<std::string> Trader::list_offers() const {
@@ -370,32 +391,18 @@ size_t Trader::offer_count() const {
   return offers_.size();
 }
 
-uint64_t Trader::dynamic_evals() const {
-  std::scoped_lock lock(mu_);
-  return dynamic_evals_;
-}
+uint64_t Trader::dynamic_evals() const { return dynamic_evals_.load(); }
 
 // ---- Lookup -------------------------------------------------------------
 
-Value Trader::resolve_property(const ServiceOffer& offer, const std::string& name,
-                               bool use_dynamic, std::map<std::string, Value>& cache) const {
-  const auto it = offer.properties.find(name);
-  if (it == offer.properties.end()) return {};
-  if (!it->second.is_dynamic()) return it->second.static_value();
-  if (!use_dynamic) return {};
-  if (const auto cached = cache.find(name); cached != cache.end()) return cached->second;
+Value Trader::eval_dynamic(const ServiceOffer& offer, const std::string& name,
+                           const DynamicProperty& dp) const {
   try {
-    const DynamicProperty& dp = it->second.dynamic();
     Value v = orb_->invoke(dp.eval, "evalDP", {Value(name), dp.extra});
-    {
-      std::scoped_lock lock(mu_);
-      ++dynamic_evals_;
-    }
-    cache[name] = v;
+    ++dynamic_evals_;
     return v;
   } catch (const Error& e) {
     log_debug("dynamic property '", name, "' of ", offer.id, " failed: ", e.what());
-    cache[name] = Value();
     return {};
   }
 }
@@ -427,11 +434,11 @@ std::vector<OfferInfo> Trader::query(const std::string& service_type,
     policies.hop_count = std::min(policies.hop_count, admin_.max_hop_count);
     if (!admin_.supports_dynamic_properties) policies.use_dynamic_properties = false;
   }
-  const Constraint parsed_constraint = Constraint::parse(constraint);
-  const Preference parsed_preference = Preference::parse(preference);
+  const auto parsed_constraint = parses_.constraint(constraint);
+  const auto parsed_preference = parses_.preference(preference);
 
   std::vector<OfferInfo> results =
-      query_local(service_type, parsed_constraint, parsed_preference, desired, policies);
+      query_local(service_type, *parsed_constraint, *parsed_preference, desired, policies);
 
   if (policies.hop_count > 0) {
     auto remote = query_links(service_type, constraint, preference, desired, policies);
@@ -446,56 +453,186 @@ std::vector<OfferInfo> Trader::query(const std::string& service_type,
   return results;
 }
 
+/// The properties one query looks at, by slot: the constraint's names
+/// first (so its slots are the query's), then the preference's and the
+/// desired list's. Each candidate offer gets a window of one Resolved entry
+/// per slot. Static values are borrowed from the offer, which the query's
+/// snapshot keeps alive and nobody mutates; dynamic values are held by
+/// value. A rejected offer's window is reused by the next one, so
+/// evaluating an offer allocates nothing; a matched offer keeps its window,
+/// so the ordering and the returned properties see the values the
+/// constraint saw. Nothing resolved here outlives the query.
+class Trader::OfferSlots final : public SlotLookup {
+ public:
+  /// `names` point into the query's constraint, preference and desired
+  /// list, which outlive it.
+  OfferSlots(const Trader& trader, std::vector<const std::string*> names, bool use_dynamic)
+      : trader_(trader), names_(std::move(names)), use_dynamic_(use_dynamic) {}
+
+  /// Slot of `name`, or npos when the query does not reference it.
+  [[nodiscard]] size_t find(const std::string& name) const {
+    const auto it = std::find_if(names_.begin(), names_.end(),
+                                 [&](const std::string* n) { return *n == name; });
+    return it == names_.end() ? npos : static_cast<size_t>(it - names_.begin());
+  }
+
+  /// Points lookups at `offer`, keeping its values in window `window`.
+  /// `fresh` clears the window first (a new offer in a reused window).
+  void bind(const ServiceOffer& offer, size_t window, bool fresh) {
+    offer_ = &offer;
+    base_ = window * names_.size();
+    if (resolved_.size() < base_ + names_.size()) resolved_.resize(base_ + names_.size());
+    if (!fresh) return;
+    for (size_t i = 0; i < names_.size(); ++i) resolved_[base_ + i].state = State::Unresolved;
+  }
+
+  const Value* get(size_t slot) override {
+    Resolved& r = resolved_[base_ + slot];
+    switch (r.state) {
+      case State::Unresolved: return resolve(*names_[slot], r);
+      case State::Undefined: return nullptr;
+      case State::Static: return r.borrowed;
+      case State::Dynamic: return &r.owned;
+    }
+    return nullptr;
+  }
+
+  /// The bound offer's value of `name` (nil when undefined); through its
+  /// slot when it has one, so a dynamic property is evaluated only once.
+  Value value(const std::string& name) {
+    const size_t slot = find(name);
+    Resolved scratch;
+    const Value* v = slot != npos ? get(slot) : resolve(name, scratch);
+    return v != nullptr ? *v : Value();
+  }
+
+  static constexpr size_t npos = static_cast<size_t>(-1);
+
+ private:
+  enum class State : uint8_t { Unresolved, Undefined, Static, Dynamic };
+  struct Resolved {
+    State state = State::Unresolved;
+    const Value* borrowed = nullptr;
+    Value owned;
+  };
+
+  const Value* resolve(const std::string& name, Resolved& r) {
+    r.state = State::Undefined;
+    const auto it = offer_->properties.find(name);
+    if (it == offer_->properties.end()) return nullptr;
+    const OfferedProperty& prop = it->second;
+    if (!prop.is_dynamic()) {
+      if (prop.static_value().is_nil()) return nullptr;
+      r.state = State::Static;
+      r.borrowed = &prop.static_value();
+      return r.borrowed;
+    }
+    if (!use_dynamic_) return nullptr;
+    r.owned = trader_.eval_dynamic(*offer_, name, prop.dynamic());
+    if (r.owned.is_nil()) return nullptr;
+    r.state = State::Dynamic;
+    return &r.owned;
+  }
+
+  const Trader& trader_;
+  const std::vector<const std::string*> names_;
+  const bool use_dynamic_;
+  const ServiceOffer* offer_ = nullptr;
+  size_t base_ = 0;
+  std::vector<Resolved> resolved_;
+};
+
+namespace {
+
+/// Presents a sub-expression's slots (the preference's) through the query's.
+class RemappedSlots final : public SlotLookup {
+ public:
+  RemappedSlots(SlotLookup& inner, const std::vector<size_t>& to_query)
+      : inner_(inner), to_query_(to_query) {}
+  const Value* get(size_t slot) override { return inner_.get(to_query_[slot]); }
+
+ private:
+  SlotLookup& inner_;
+  const std::vector<size_t>& to_query_;
+};
+
+}  // namespace
+
+std::shared_ptr<const std::vector<Trader::OfferPtr>> Trader::snapshot() {
+  std::scoped_lock lock(mu_);
+  if (!snapshot_) snapshot_ = std::make_shared<const std::vector<OfferPtr>>(by_sequence_);
+  return snapshot_;
+}
+
 std::vector<OfferInfo> Trader::query_local(const std::string& service_type,
                                            const Constraint& constraint,
                                            const Preference& preference,
                                            const std::vector<std::string>& desired,
                                            const LookupPolicies& policies) {
-  // Snapshot candidate offers under the lock; evaluate without it (dynamic
-  // properties call back into servants — CP.22).
-  std::vector<ServiceOffer> candidates;
-  {
-    std::scoped_lock lock(mu_);
-    const double now = clock_->now();
-    for (const auto& [id, offer] : offers_) {
-      if (offer.expires_at > 0 && offer.expires_at <= now) continue;  // lease ran out
-      const bool type_ok = policies.exact_type_match
-                               ? offer.service_type == service_type
-                               : types_.is_subtype(offer.service_type, service_type);
-      if (type_ok) candidates.push_back(offer);
-    }
+  // The snapshot is taken under the lock; evaluation runs without it
+  // (dynamic properties call back into servants — CP.22), and the snapshot
+  // keeps its offers alive whatever writers publish meanwhile.
+  const auto offers = snapshot();
+  const double now = clock_->now();
+
+  std::vector<const std::string*> names;
+  const auto slot_of = [&](const std::string& name) {
+    const auto it = std::find_if(names.begin(), names.end(),
+                                 [&](const std::string* n) { return *n == name; });
+    if (it != names.end()) return static_cast<size_t>(it - names.begin());
+    names.push_back(&name);
+    return names.size() - 1;
+  };
+  for (const std::string& name : constraint.referenced_properties()) slot_of(name);
+  std::vector<size_t> preference_slots;
+  for (const std::string& name : preference.expr().referenced_properties()) {
+    preference_slots.push_back(slot_of(name));
   }
-  std::sort(candidates.begin(), candidates.end(),
-            [](const ServiceOffer& a, const ServiceOffer& b) { return a.sequence < b.sequence; });
-  if (candidates.size() > policies.search_card) candidates.resize(policies.search_card);
+  for (const std::string& name : desired) slot_of(name);
+  OfferSlots slots(*this, std::move(names), policies.use_dynamic_properties);
+  RemappedSlots preference_view(slots, preference_slots);
+
+  // Type conformance is decided once per distinct offer type, not once per
+  // offer: the type repository takes its own lock.
+  std::vector<std::pair<std::string_view, bool>> conforms;
+  const auto type_ok = [&](const std::string& type) {
+    if (policies.exact_type_match) return type == service_type;
+    for (const auto& [seen, ok] : conforms) {
+      if (seen == type) return ok;
+    }
+    const bool ok = types_.is_subtype(type, service_type);
+    conforms.emplace_back(type, ok);
+    return ok;
+  };
 
   struct Matched {
     const ServiceOffer* offer;
-    std::map<std::string, Value> cache;  // resolved dynamic properties
-    std::optional<double> score;         // min/max preference key
+    size_t window;                // the offer's resolved values in `slots`
+    std::optional<double> score;  // min/max preference key
     bool with_match = false;
   };
   std::vector<Matched> matched;
-  for (const ServiceOffer& offer : candidates) {
-    Matched m{&offer, {}, std::nullopt, false};
-    PropertyLookup lookup = [&](const std::string& name) -> std::optional<Value> {
-      Value v = resolve_property(offer, name, policies.use_dynamic_properties, m.cache);
-      if (v.is_nil()) return std::nullopt;
-      return v;
-    };
-    if (!constraint.matches(lookup)) continue;
+  size_t considered = 0;
+  for (const OfferPtr& offer : *offers) {
+    if (considered == policies.search_card) break;
+    if (offer->expires_at > 0 && offer->expires_at <= now) continue;  // lease ran out
+    if (!type_ok(offer->service_type)) continue;
+    ++considered;
+    slots.bind(*offer, matched.size(), /*fresh=*/true);
+    if (!constraint.matches(slots)) continue;
+    Matched m{offer.get(), matched.size(), std::nullopt, false};
     switch (preference.kind()) {
       case Preference::Kind::Min:
       case Preference::Kind::Max:
-        m.score = preference.expr().evaluate_numeric(lookup);
+        m.score = preference.expr().evaluate_numeric(preference_view);
         break;
       case Preference::Kind::With:
-        m.with_match = preference.expr().matches(lookup);
+        m.with_match = preference.expr().matches(preference_view);
         break;
       default:
         break;
     }
-    matched.push_back(std::move(m));
+    matched.push_back(m);
   }
 
   // Order per preference. Offers whose preference expression could not be
@@ -528,22 +665,26 @@ std::vector<OfferInfo> Trader::query_local(const std::string& service_type,
       break;
   }
 
+  // Offers past return_card are never returned, so their results (and any
+  // dynamic property only a result would read) are not built: federated
+  // results are appended after the local ones before the merge is cut.
+  matched.resize(std::min(matched.size(), policies.return_card));
   std::vector<OfferInfo> results;
   results.reserve(matched.size());
-  for (Matched& m : matched) {
+  for (const Matched& m : matched) {
+    slots.bind(*m.offer, m.window, /*fresh=*/false);
     OfferInfo info;
     info.offer_id = m.offer->id;
     info.service_type = m.offer->service_type;
     info.provider = m.offer->provider;
-    const std::vector<std::string>* wanted = &desired;
-    std::vector<std::string> all_names;
-    if (desired.empty()) {
-      for (const auto& [name, prop] : m.offer->properties) all_names.push_back(name);
-      wanted = &all_names;
-    }
-    for (const std::string& name : *wanted) {
-      Value v = resolve_property(*m.offer, name, policies.use_dynamic_properties, m.cache);
+    const auto add = [&](const std::string& name) {
+      Value v = slots.value(name);
       if (!v.is_nil()) info.properties[name] = std::move(v);
+    };
+    if (desired.empty()) {
+      for (const auto& [name, prop] : m.offer->properties) add(name);
+    } else {
+      for (const std::string& name : desired) add(name);
     }
     results.push_back(std::move(info));
   }

@@ -15,7 +15,9 @@
 //    CORBA clients talk to CosTrading.
 #pragma once
 
+#include <atomic>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <random>
@@ -136,6 +138,7 @@ class Trader {
   size_t purge_expired();
   void withdraw(const std::string& offer_id);
   /// Replaces the given properties (readonly properties cannot change).
+  /// All-or-nothing: every change is validated before any is applied.
   void modify(const std::string& offer_id, const PropertyMap& changes);
   [[nodiscard]] ServiceOffer describe(const std::string& offer_id) const;
   [[nodiscard]] std::vector<std::string> list_offers() const;
@@ -147,6 +150,8 @@ class Trader {
   /// Core query. Throws UnknownServiceType / IllegalConstraint /
   /// IllegalPreference. Never throws for evaluation-time type errors —
   /// offers that cannot be evaluated simply do not match (OMG semantics).
+  /// Dynamic properties are evaluated at most once per offer per query, and
+  /// no value outlives the query. Evaluators may call back into this trader.
   std::vector<OfferInfo> query(const std::string& service_type,
                                const std::string& constraint,
                                const std::string& preference = "",
@@ -173,7 +178,7 @@ class Trader {
   [[nodiscard]] uint64_t dynamic_evals() const;
 
   // ---- wire conversion helpers (shared with remote clients) ------------
-  static Value offer_info_to_value(const OfferInfo& info);
+  static Value offer_info_to_value(OfferInfo info);
   static OfferInfo offer_info_from_value(const Value& v);
   static Value property_map_to_value(const PropertyMap& props);
   static PropertyMap property_map_from_value(const Value& v);
@@ -181,36 +186,55 @@ class Trader {
   static LookupPolicies policies_from_value(const Value& v);
 
  private:
+  /// Offers are immutable once published: modify and refresh publish a new
+  /// object, so a query's snapshot is a vector of these pointers.
+  using OfferPtr = std::shared_ptr<const ServiceOffer>;
+  class OfferSlots;
+
   void register_servants();
   std::vector<OfferInfo> query_local(const std::string& service_type,
                                      const Constraint& constraint,
                                      const Preference& preference,
                                      const std::vector<std::string>& desired,
                                      const LookupPolicies& policies);
+  /// The live index as one shared, immutable vector in registration order.
+  /// Writers drop it; the next query rebuilds it, so queries between two
+  /// writes share one copy.
+  std::shared_ptr<const std::vector<OfferPtr>> snapshot();
   std::vector<OfferInfo> query_links(const std::string& service_type,
                                      const std::string& constraint,
                                      const std::string& preference,
                                      const std::vector<std::string>& desired,
                                      const LookupPolicies& policies);
-  Value resolve_property(const ServiceOffer& offer, const std::string& name,
-                         bool use_dynamic,
-                         std::map<std::string, Value>& cache) const;
+  /// Calls the property's evaluator; nil when the call fails.
+  Value eval_dynamic(const ServiceOffer& offer, const std::string& name,
+                     const DynamicProperty& dp) const;
   void validate_offer(const std::string& service_type, const ObjectRef& provider,
                       const PropertyMap& properties) const;
+  std::vector<OfferPtr>::iterator sequence_slot_locked(uint64_t sequence);
+  void publish_locked(OfferPtr offer);
+  void erase_locked(std::map<std::string, OfferPtr>::iterator it);
+  template <class Pred>
+  size_t erase_offers_locked(Pred pred);
 
   orb::OrbPtr orb_;
   Config config_;
   ClockPtr clock_;
   ServiceTypeRepository types_;
 
+  ParseCache parses_;
+
   mutable std::mutex mu_;
   TraderAdminSettings admin_;
-  std::map<std::string, ServiceOffer> offers_;
+  std::map<std::string, OfferPtr> offers_;  // by id
+  std::vector<OfferPtr> by_sequence_;       // registration order
+  std::shared_ptr<const std::vector<OfferPtr>> snapshot_;  // by_sequence_, shared
   std::map<std::string, ObjectRef> links_;
   uint64_t next_offer_ = 1;
   uint64_t sequence_ = 0;
-  mutable uint64_t dynamic_evals_ = 0;
   std::mt19937 rng_;
+
+  mutable std::atomic<uint64_t> dynamic_evals_{0};
 
   ObjectRef lookup_ref_;
   ObjectRef register_ref_;

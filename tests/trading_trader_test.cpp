@@ -1,8 +1,14 @@
 // Trader tests: service types, offer lifecycle, queries with constraints and
-// preferences, dynamic properties, policies, federation, remote clients.
+// preferences, dynamic properties, policies, federation, remote clients,
+// re-entrant evaluators, the parse cache, and ordering on a mixed market.
 #include "trading/trader.h"
 
 #include <gtest/gtest.h>
+
+#include <atomic>
+#include <chrono>
+#include <map>
+#include <thread>
 
 namespace adapt::trading {
 namespace {
@@ -183,6 +189,24 @@ TEST_F(TraderTest, ModifyReadonlyRejected) {
   EXPECT_THROW(trader_.modify(id, changes), PropertyMismatch);
 }
 
+TEST_F(TraderTest, ModifyIsAllOrNothing) {
+  const std::string id = export_host("node-1", 10.0);
+  // "Aa" is undeclared and valid; it sorts before the readonly "Arch", so a
+  // change-by-change modify would apply it before rejecting "Arch".
+  EXPECT_THROW(trader_.modify(id, {{"Aa", OfferedProperty(Value(1.0))},
+                                   {"Arch", OfferedProperty(Value("x86"))}}),
+               PropertyMismatch);
+  // Likewise a valid change ahead of an ill-typed one.
+  EXPECT_THROW(trader_.modify(id, {{"Aa", OfferedProperty(Value(1.0))},
+                                   {"Host", OfferedProperty(Value(5.0))}}),
+               PropertyMismatch);
+  const ServiceOffer offer = trader_.describe(id);
+  EXPECT_EQ(offer.properties.count("Aa"), 0u);
+  EXPECT_EQ(offer.properties.at("Host").static_value().as_string(), "node-1");
+  EXPECT_EQ(offer.properties.size(), 3u);
+  EXPECT_EQ(trader_.query("LoadService", "exist Aa").size(), 0u);
+}
+
 // ---- queries ---------------------------------------------------------------
 
 TEST_F(TraderTest, QueryWithConstraint) {
@@ -199,6 +223,39 @@ TEST_F(TraderTest, QueryUnknownTypeThrows) {
 
 TEST_F(TraderTest, QueryBadConstraintThrows) {
   EXPECT_THROW(trader_.query("LoadService", "LoadAvg <"), IllegalConstraint);
+}
+
+TEST_F(TraderTest, MalformedQueriesThrowOnEveryRepeat) {
+  export_host("node", 5.0);
+  // Text that fails to parse is never cached: each repeat throws again.
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_THROW(trader_.query("LoadService", "LoadAvg <"), IllegalConstraint);
+    EXPECT_THROW(trader_.query("LoadService", "", "min LoadAvg <"), IllegalPreference);
+    EXPECT_THROW(trader_.query("LoadService", "", "sideways"), IllegalPreference);
+    EXPECT_EQ(trader_.query("LoadService", "LoadAvg < 50", "min LoadAvg").size(), 1u);
+  }
+}
+
+TEST_F(TraderTest, MoreDistinctQueriesThanTheParseCacheHolds) {
+  for (int i = 0; i < 10; ++i) export_host("h" + std::to_string(i), i);
+  const int distinct = static_cast<int>(3 * ParseCache::kCapacity);
+  // Two passes in opposite orders: the second mixes evicted and cached
+  // entries, and every answer must still be the fresh parse's.
+  for (int pass = 0; pass < 2; ++pass) {
+    for (int n = 0; n < distinct; ++n) {
+      const int i = pass == 0 ? n : distinct - 1 - n;
+      const int bound = i % 11;
+      const std::string constraint =
+          "LoadAvg < " + std::to_string(bound) + " and Host != 'x" + std::to_string(i) + "'";
+      const std::string preference = "max LoadAvg + " + std::to_string(i);
+      const auto results = trader_.query("LoadService", constraint, preference);
+      ASSERT_EQ(results.size(), static_cast<size_t>(bound)) << constraint;
+      if (bound > 0) {
+        EXPECT_DOUBLE_EQ(results[0].properties.at("LoadAvg").as_number(), bound - 1)
+            << preference;
+      }
+    }
+  }
 }
 
 TEST_F(TraderTest, QueryMinPreferenceOrders) {
@@ -281,6 +338,32 @@ TEST_F(TraderTest, ReturnCardLimitsResults) {
   LookupPolicies policies;
   policies.return_card = 3;
   EXPECT_EQ(trader_.query("LoadService", "", "", {}, policies).size(), 3u);
+}
+
+TEST_F(TraderTest, ReturnCardBuildsOnlyReturnedResults) {
+  // A dynamic property that only the returned properties read is evaluated
+  // for the offers that are returned, not for every match.
+  auto calls = std::make_shared<int>(0);
+  auto evaluator = FunctionServant::make("DynamicPropEval");
+  evaluator->on("evalDP", [calls](const ValueList&) {
+    ++*calls;
+    return Value(1.0);
+  });
+  const ObjectRef eval_ref = orb_->register_servant(evaluator);
+  for (int i = 0; i < 5; ++i) {
+    PropertyMap props;
+    props["Host"] = OfferedProperty(Value("h" + std::to_string(i)));
+    props["Arch"] = OfferedProperty(Value("x86"));
+    props["LoadAvg"] = OfferedProperty(DynamicProperty{eval_ref, Value()});
+    trader_.export_offer("LoadService", orb_->register_servant(FunctionServant::make("")),
+                         props);
+  }
+  LookupPolicies policies;
+  policies.return_card = 2;
+  const auto results = trader_.query("LoadService", "exist Host", "", {}, policies);
+  ASSERT_EQ(results.size(), 2u);
+  EXPECT_DOUBLE_EQ(results[1].properties.at("LoadAvg").as_number(), 1.0);
+  EXPECT_EQ(*calls, 2);
 }
 
 TEST_F(TraderTest, SearchCardLimitsConsideration) {
@@ -396,6 +479,79 @@ TEST_F(TraderTest, FailingDynamicPropertyMeansUndefined) {
   trader_.export_offer("LoadService", orb_->register_servant(servant), props);
   EXPECT_EQ(trader_.query("LoadService", "LoadAvg < 50").size(), 0u);
   EXPECT_EQ(trader_.query("LoadService", "not exist LoadAvg").size(), 1u);
+}
+
+TEST_F(TraderTest, EvaluatorMayChangeTheMarketMidQuery) {
+  // The evaluator withdraws, modifies and refreshes offers of the same
+  // trader, and runs a nested query, while another thread exports. The
+  // query must neither deadlock nor see any of it: it answers from the
+  // snapshot it took.
+  const std::string victim = export_host("victim", 10.0);
+  auto evaluator = FunctionServant::make("DynamicPropEval");
+  const ObjectRef eval_ref = orb_->register_servant(evaluator);
+  PropertyMap props;
+  props["Host"] = OfferedProperty(Value("dyn"));
+  props["Arch"] = OfferedProperty(Value("x86"));
+  props["LoadAvg"] = OfferedProperty(DynamicProperty{eval_ref, Value()});
+  trader_.export_offer("LoadService", orb_->register_servant(FunctionServant::make("")),
+                       props);
+  const std::string modified = export_host("modified", 20.0);
+  const std::string refreshed = export_host("refreshed", 30.0);
+
+  std::atomic<bool> go{false};
+  std::atomic<bool> stop{false};
+  std::atomic<int> exported{0};
+  std::thread exporter([&] {
+    while (!go.load()) std::this_thread::yield();
+    for (int i = 0; i < 50 && !stop.load(); ++i) {
+      export_host("bg-" + std::to_string(i), 1.0);
+      ++exported;
+    }
+  });
+
+  int depth = 0;
+  std::vector<OfferInfo> nested;
+  evaluator->on("evalDP", [&](const ValueList&) -> Value {
+    if (depth++ == 0) {
+      trader_.withdraw(victim);
+      trader_.modify(modified, {{"LoadAvg", OfferedProperty(Value(99.0))}});
+      trader_.refresh(refreshed, 60);
+      nested = trader_.query("LoadService", "LoadAvg < 50", "min LoadAvg", {"Host"});
+      go = true;
+      const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+      while (exported.load() == 0 && std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::yield();
+      }
+    }
+    --depth;
+    return Value(5.0);
+  });
+
+  const auto results = trader_.query("LoadService", "LoadAvg < 50", "", {"Host", "LoadAvg"});
+  stop = true;
+  go = true;
+  exporter.join();
+  EXPECT_GT(exported.load(), 0) << "the exporter ran during the query";
+
+  ASSERT_EQ(results.size(), 4u) << "exports after the snapshot are not seen";
+  EXPECT_EQ(results[0].properties.at("Host").as_string(), "victim");
+  EXPECT_EQ(results[1].properties.at("Host").as_string(), "dyn");
+  EXPECT_DOUBLE_EQ(results[1].properties.at("LoadAvg").as_number(), 5.0);
+  EXPECT_EQ(results[2].properties.at("Host").as_string(), "modified");
+  EXPECT_DOUBLE_EQ(results[2].properties.at("LoadAvg").as_number(), 20.0)
+      << "the snapshot keeps the value from before the modify";
+  EXPECT_EQ(results[3].properties.at("Host").as_string(), "refreshed");
+
+  // The nested query ran after the withdraw and the modify.
+  ASSERT_EQ(nested.size(), 2u);
+  EXPECT_EQ(nested[0].properties.at("Host").as_string(), "dyn");
+  EXPECT_EQ(nested[1].properties.at("Host").as_string(), "refreshed");
+
+  // The market itself did change.
+  EXPECT_THROW(trader_.describe(victim), UnknownOffer);
+  EXPECT_DOUBLE_EQ(
+      trader_.describe(modified).properties.at("LoadAvg").static_value().as_number(), 99.0);
+  EXPECT_EQ(trader_.offer_count(), 3u + static_cast<size_t>(exported.load()));
 }
 
 // ---- federation -----------------------------------------------------------
@@ -582,6 +738,150 @@ TEST_F(TraderTest, DynamicEvalCounter) {
   const uint64_t before = trader_.dynamic_evals();
   trader_.query("LoadService", "LoadAvg > 0");
   EXPECT_EQ(trader_.dynamic_evals(), before + 1);
+}
+
+
+// ---- ordering on a mixed market -------------------------------------------
+//
+// Static and dynamic offers, a subtype offer, a failing evaluator, an
+// expired lease, tied keys and a search_card below the offer count. Each
+// query's expected results, order and evalDP count were recorded from the
+// trader as it was before its lookup path kept immutable offers, cached
+// parses and evaluated through slots; they pin that the rebuild changed
+// none of them.
+
+class MarketTest : public ::testing::Test {
+ protected:
+  MarketTest()
+      : clock_(std::make_shared<SimClock>()),
+        orb_(Orb::create()),
+        trader_(orb_, {.name = "market", .rng_seed = 7, .clock = clock_}) {
+    ServiceTypeDef type;
+    type.name = "LoadService";
+    type.properties = {{"LoadAvg", "number", PropertyDef::Mode::Normal},
+                       {"Host", "string", PropertyDef::Mode::Mandatory}};
+    trader_.types().add(type);
+    ServiceTypeDef sub;
+    sub.name = "FastLoadService";
+    sub.supertypes = {"LoadService"};
+    trader_.types().add(sub);
+
+    // One evaluator serves every dynamic offer; `extra` names the host.
+    auto evaluator = FunctionServant::make("DynamicPropEval");
+    evaluator->on("evalDP", [loads = loads_](const ValueList& args) -> Value {
+      const std::string& host = args.at(1).as_string();
+      if (host == "dfail") throw Error("evaluator down");
+      return Value(loads->at(host));
+    });
+    eval_ = orb_->register_servant(evaluator);
+    provider_ = orb_->register_servant(FunctionServant::make(""));
+
+    add("LoadService", "s1", Value(30.0), "eu");
+    add_dynamic("d1", 20.0, "us");
+    add("FastLoadService", "sub1", Value(10.0), "eu");
+    add("LoadService", "s2", Value(30.0), "us");
+    add("LoadService", "exp", Value(5.0), "eu", /*lease=*/1.0);
+    add_dynamic("d2", 45.0, "eu");
+    add("LoadService", "noload", Value(), "us");
+    add_dynamic("dfail", 0.0, "eu");
+    add("LoadService", "s3", Value(70.0), "eu");
+    add_dynamic("d3", 30.0, "us");
+    add("LoadService", "s4", Value(15.0), "");
+    clock_->advance(2.0);  // "exp"'s lease has run out
+  }
+
+  void add(const std::string& type, const std::string& host, const Value& load,
+           const std::string& zone, double lease = 0) {
+    PropertyMap props;
+    props["Host"] = OfferedProperty(Value(host));
+    if (!load.is_nil()) props["LoadAvg"] = OfferedProperty(load);
+    if (!zone.empty()) props["Zone"] = OfferedProperty(Value(zone));
+    trader_.export_offer(type, provider_, std::move(props), lease);
+  }
+
+  void add_dynamic(const std::string& host, double load, const std::string& zone) {
+    (*loads_)[host] = load;
+    PropertyMap props;
+    props["Host"] = OfferedProperty(Value(host));
+    props["LoadAvg"] = OfferedProperty(DynamicProperty{eval_, Value(host)});
+    props["Zone"] = OfferedProperty(Value(zone));
+    trader_.export_offer("LoadService", provider_, std::move(props));
+  }
+
+  /// Runs a query and renders its results in order, each as its Host and
+  /// its returned properties, followed by the number of evalDP calls made.
+  std::string run(const std::string& constraint, const std::string& preference,
+                  const std::vector<std::string>& desired = {},
+                  const LookupPolicies& policies = {}) {
+    const uint64_t before = trader_.dynamic_evals();
+    const auto results = trader_.query("LoadService", constraint, preference, desired, policies);
+    std::string out;
+    for (const OfferInfo& info : results) {
+      const auto host = info.properties.find("Host");
+      out += host != info.properties.end() ? host->second.as_string() : info.offer_id;
+      out += '{';
+      for (const auto& [name, value] : info.properties) {
+        if (name != "Host") out += name + '=' + value.str() + ';';
+      }
+      out += "} ";
+    }
+    return out + "evalDP=" + std::to_string(trader_.dynamic_evals() - before);
+  }
+
+  std::shared_ptr<SimClock> clock_;
+  OrbPtr orb_;
+  Trader trader_;
+  std::shared_ptr<std::map<std::string, double>> loads_ =
+      std::make_shared<std::map<std::string, double>>();
+  ObjectRef eval_;
+  ObjectRef provider_;
+};
+
+TEST_F(MarketTest, ResultsAndOrderMatchTheReference) {
+  LookupPolicies narrow;
+  narrow.search_card = 7;
+  LookupPolicies exact;
+  exact.exact_type_match = true;
+  LookupPolicies static_only;
+  static_only.use_dynamic_properties = false;
+
+  EXPECT_EQ(run("", "first"),
+            "s1{LoadAvg=30;Zone=eu;} d1{LoadAvg=20;Zone=us;} sub1{LoadAvg=10;Zone=eu;} "
+            "s2{LoadAvg=30;Zone=us;} d2{LoadAvg=45;Zone=eu;} noload{Zone=us;} dfail{Zone=eu;} "
+            "s3{LoadAvg=70;Zone=eu;} d3{LoadAvg=30;Zone=us;} s4{LoadAvg=15;} evalDP=3");
+  EXPECT_EQ(run("LoadAvg < 40", "min LoadAvg"),
+            "sub1{LoadAvg=10;Zone=eu;} s4{LoadAvg=15;} d1{LoadAvg=20;Zone=us;} "
+            "s1{LoadAvg=30;Zone=eu;} s2{LoadAvg=30;Zone=us;} d3{LoadAvg=30;Zone=us;} evalDP=3");
+  EXPECT_EQ(run("LoadAvg >= 15", "max LoadAvg"),
+            "s3{LoadAvg=70;Zone=eu;} d2{LoadAvg=45;Zone=eu;} s1{LoadAvg=30;Zone=eu;} "
+            "s2{LoadAvg=30;Zone=us;} d3{LoadAvg=30;Zone=us;} d1{LoadAvg=20;Zone=us;} "
+            "s4{LoadAvg=15;} evalDP=3");
+  EXPECT_EQ(run("exist Host", "with LoadAvg < 25"),
+            "d1{LoadAvg=20;Zone=us;} sub1{LoadAvg=10;Zone=eu;} s4{LoadAvg=15;} "
+            "s1{LoadAvg=30;Zone=eu;} s2{LoadAvg=30;Zone=us;} d2{LoadAvg=45;Zone=eu;} "
+            "noload{Zone=us;} dfail{Zone=eu;} s3{LoadAvg=70;Zone=eu;} d3{LoadAvg=30;Zone=us;} "
+            "evalDP=3");
+  EXPECT_EQ(run("LoadAvg < 50", "min LoadAvg", {"Host", "LoadAvg"}, narrow),
+            "sub1{LoadAvg=10;} d1{LoadAvg=20;} s1{LoadAvg=30;} s2{LoadAvg=30;} d2{LoadAvg=45;} "
+            "evalDP=2");
+  EXPECT_EQ(run("Zone == 'eu' or LoadAvg > 40", "max LoadAvg * 2 - 1"),
+            "s3{LoadAvg=70;Zone=eu;} d2{LoadAvg=45;Zone=eu;} s1{LoadAvg=30;Zone=eu;} "
+            "sub1{LoadAvg=10;Zone=eu;} dfail{Zone=eu;} evalDP=3");
+  EXPECT_EQ(run("LoadAvg < 100", "min LoadAvg", {"Host"}),
+            "sub1{} s4{} d1{} s1{} s2{} d3{} d2{} s3{} evalDP=3");
+  EXPECT_EQ(run("not (Zone ~ 'us')", "with Zone == 'eu'", {}, exact),
+            "s1{LoadAvg=30;Zone=eu;} d2{LoadAvg=45;Zone=eu;} dfail{Zone=eu;} "
+            "s3{LoadAvg=70;Zone=eu;} evalDP=1");
+  EXPECT_EQ(run("exist Zone", "min LoadAvg", {}, static_only),
+            "sub1{LoadAvg=10;Zone=eu;} s1{LoadAvg=30;Zone=eu;} s2{LoadAvg=30;Zone=us;} "
+            "s3{LoadAvg=70;Zone=eu;} d1{Zone=us;} d2{Zone=eu;} noload{Zone=us;} dfail{Zone=eu;} "
+            "d3{Zone=us;} evalDP=0");
+  EXPECT_EQ(run("LoadAvg <= 30", "random"),
+            "sub1{LoadAvg=10;Zone=eu;} s1{LoadAvg=30;Zone=eu;} s2{LoadAvg=30;Zone=us;} "
+            "d3{LoadAvg=30;Zone=us;} d1{LoadAvg=20;Zone=us;} s4{LoadAvg=15;} evalDP=3");
+  EXPECT_EQ(run("", "random", {"Host", "Zone"}),
+            "s3{Zone=eu;} s4{} s1{Zone=eu;} sub1{Zone=eu;} d3{Zone=us;} dfail{Zone=eu;} "
+            "noload{Zone=us;} d1{Zone=us;} d2{Zone=eu;} s2{Zone=us;} evalDP=0");
 }
 
 }  // namespace
