@@ -18,13 +18,17 @@
 // serving sweep (emitting BENCH_reactor.json): an in-bench thread-per-
 // connection echo server — the serving model the reactor replaced — against
 // the real epoll-reactor TcpListener, at 1, 8 and 64 clients with pipelined
-// batches. scripts/check.sh gates on the resulting ratios: reactor 64-client
-// throughput >= 3x threaded, single-client p50 within 10%.
+// batches. The single-client case runs as alternating threaded/reactor pairs
+// with the client pinned to one CPU and the server to another.
+// scripts/check.sh gates on the resulting ratios: reactor
+// 64-client throughput >= 3x threaded, and the median over the pairs of the
+// reactor/threaded single-client p50 ratio within 10%.
 #include <benchmark/benchmark.h>
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
+#include <sched.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -317,57 +321,113 @@ class SweepClients {
 /// Frames each client keeps in flight per batch in the multi-client sweeps.
 constexpr size_t kPipeline = 32;
 
+/// Threaded/reactor pairs of the single-client case; pair i runs
+/// threaded_c1_<i> and reactor_c1_<i>, threaded first in even pairs.
+constexpr int kC1Pairs = 9;
+
+/// One single-client case with its own server. Before starting the server
+/// the bench thread pins itself to one CPU, which the server and every
+/// thread it starts inherit; then it pins itself to another CPU for the
+/// client side. Unpinned, the scheduler moved either side between vCPUs
+/// mid-case, and single runs of the reactor/threaded p50 ratio ranged from
+/// -7% to +22%. The two sides stay on separate CPUs, as a client and server
+/// do: on one shared CPU the round trip measures both sides' CPU cost added
+/// up (there the reactor's is ~17% higher), not the latency a single
+/// client sees.
+struct PinnedC1 {
+  cpu_set_t unpinned{};
+  std::unique_ptr<ThreadedEchoServer> threaded;
+  std::unique_ptr<orb::TcpListener> reactor;
+  int fd = -1;
+
+  static void pin_to(int cpu) {
+    cpu_set_t one;
+    CPU_ZERO(&one);
+    CPU_SET(cpu, &one);
+    (void)sched_setaffinity(0, sizeof one, &one);
+  }
+
+  void start(bool use_reactor, const orb::TcpListener::Handler& echo) {
+    (void)sched_getaffinity(0, sizeof unpinned, &unpinned);
+    const int client_cpu = sched_getcpu();
+    int server_cpu = client_cpu;
+    for (int cpu = 0; cpu < CPU_SETSIZE; ++cpu) {
+      if (cpu != client_cpu && CPU_ISSET(cpu, &unpinned)) {
+        server_cpu = cpu;
+        break;
+      }
+    }
+    if (server_cpu >= 0) pin_to(server_cpu);
+    uint16_t port = 0;
+    if (use_reactor) {
+      reactor = std::make_unique<orb::TcpListener>("127.0.0.1", 0, echo);
+      port = reactor->port();
+    } else {
+      threaded = std::make_unique<ThreadedEchoServer>(echo);
+      port = threaded->port();
+    }
+    if (client_cpu >= 0) pin_to(client_cpu);
+    fd = dial_nodelay(port);
+  }
+
+  void stop() {
+    ::close(fd);
+    fd = -1;
+    reactor.reset();
+    threaded.reset();
+    (void)sched_setaffinity(0, sizeof unpinned, &unpinned);
+  }
+};
+
 int run_reactor_sweep(const adapt::benchjson::Options& opts) {
   const auto echo = [](const Bytes& request) -> std::optional<Bytes> { return request; };
+
+  std::vector<adapt::benchjson::Case> cases;
+  // Single client, synchronous round trips on the bench thread itself: p50
+  // here is the per-RPC latency the reactor must hold within 10% of
+  // thread-per-connection.
+  PinnedC1 c1;
+  const Bytes c1_payload(16, 0x5A);
+  for (int pair = 0; pair < kC1Pairs; ++pair) {
+    for (const bool use_reactor : {pair % 2 != 0, pair % 2 == 0}) {
+      adapt::benchjson::Case c;
+      c.name = std::string(use_reactor ? "reactor" : "threaded") + "_c1_" +
+               std::to_string(pair);
+      c.setup = [&c1, &echo, use_reactor] { c1.start(use_reactor, echo); };
+      c.fn = [&c1, &c1_payload] {
+        orb::write_frame(c1.fd, c1_payload);
+        (void)orb::read_frame(c1.fd);
+      };
+      c.teardown = [&c1] { c1.stop(); };
+      cases.push_back(std::move(c));
+    }
+  }
+
   ThreadedEchoServer threaded(echo);
   orb::TcpListener reactor("127.0.0.1", 0, echo);
-
   struct Sweep {
     const char* name;
     uint16_t port;
     size_t clients;
   };
   const std::vector<Sweep> sweeps = {
-      {"threaded_c1", threaded.port(), 1},  {"reactor_c1", reactor.port(), 1},
       {"threaded_c8", threaded.port(), 8},  {"reactor_c8", reactor.port(), 8},
       {"threaded_c64", threaded.port(), 64}, {"reactor_c64", reactor.port(), 64},
   };
-
-  std::vector<adapt::benchjson::Case> cases;
   std::shared_ptr<SweepClients> clients;  // alive between setup and teardown
-  int c1_fd = -1;
-  const Bytes c1_payload(16, 0x5A);
   for (const Sweep& sweep : sweeps) {
+    // One iteration = one pipelined batch across all clients
+    // (clients * kPipeline RPCs), so iteration counts are scaled down.
+    const size_t n = sweep.clients;
     adapt::benchjson::Case c;
     c.name = sweep.name;
-    if (sweep.clients == 1) {
-      // Single client, synchronous round trips on the bench thread itself:
-      // p50 here is the per-RPC latency the reactor must hold within 10% of
-      // thread-per-connection.
-      c.setup = [&c1_fd, sweep] { c1_fd = dial_nodelay(sweep.port); };
-      c.fn = [&c1_fd, &c1_payload] {
-        orb::write_frame(c1_fd, c1_payload);
-        (void)orb::read_frame(c1_fd);
-      };
-      c.teardown = [&c1_fd] {
-        ::close(c1_fd);
-        c1_fd = -1;
-      };
-      cases.push_back(std::move(c));
-      continue;
-    }
-    {
-      // One iteration = one pipelined batch across all clients
-      // (clients * kPipeline RPCs), so iteration counts are scaled down.
-      const size_t n = sweep.clients;
-      c.setup = [&clients, sweep, n] {
-        clients = std::make_shared<SweepClients>(sweep.port, n, kPipeline);
-      };
-      c.fn = [&clients] { clients->run_batch(); };
-      c.warmup = 10;
-      c.iters = opts.quick ? (n >= 64 ? 30 : 60) : (n >= 64 ? 100 : 200);
-    }
+    c.setup = [&clients, sweep, n] {
+      clients = std::make_shared<SweepClients>(sweep.port, n, kPipeline);
+    };
+    c.fn = [&clients] { clients->run_batch(); };
     c.teardown = [&clients] { clients.reset(); };
+    c.warmup = 10;
+    c.iters = opts.quick ? (n >= 64 ? 30 : 60) : (n >= 64 ? 100 : 200);
     cases.push_back(std::move(c));
   }
   const int rc = adapt::benchjson::run_json_cases(opts, "reactor", cases);

@@ -67,7 +67,10 @@ EOF
 # iteration counts — the ratio gate needs stable percentiles, and --quick
 # medians wobble on a busy machine) and asserts the two bounds the reactor
 # migration promised: 64-client throughput at least 3x the threaded
-# baseline, single-client p50 within 10% of it.
+# baseline, single-client p50 within 10% of it. The single-client case runs
+# as alternating threaded/reactor pairs, client pinned to one CPU and server
+# to another; the gate takes the median of the per-pair p50 ratios, so one
+# noisy pair cannot decide it.
 run_reactor_gate() {
   local build_dir="build"
   if [[ ! -x "${build_dir}/bench/bench_transport" ]]; then
@@ -77,11 +80,13 @@ run_reactor_gate() {
   echo "==> bench bench_transport --reactor --json (serving-model gate)"
   (cd "${build_dir}" && bench/bench_transport --reactor --json="BENCH_reactor.json" >/dev/null)
   python3 - "${build_dir}/BENCH_reactor.json" <<'EOF'
-import json, sys
+import json, statistics, sys
 with open(sys.argv[1]) as f:
     doc = json.load(f)
 cases = {c["name"]: c for c in doc["cases"]}
-for name in ("threaded_c1", "reactor_c1", "threaded_c64", "reactor_c64"):
+pairs = sorted(int(n[len("reactor_c1_"):]) for n in cases if n.startswith("reactor_c1_"))
+assert len(pairs) >= 5, f"only {len(pairs)} single-client pairs, need >= 5"
+for name in [f"threaded_c1_{i}" for i in pairs] + ["threaded_c64", "reactor_c64"]:
     assert name in cases, f"missing sweep case {name}"
 
 ops_threaded = cases["threaded_c64"]["ops_per_sec"]
@@ -91,14 +96,15 @@ assert ratio >= 3.0, (
     f"reactor 64-client throughput only {ratio:.2f}x the threaded baseline "
     f"({ops_reactor:.0f} vs {ops_threaded:.0f} batches/s), need >= 3x")
 
-p50_threaded = cases["threaded_c1"]["ns"]["p50"]
-p50_reactor = cases["reactor_c1"]["ns"]["p50"]
-regress = p50_reactor / p50_threaded - 1.0
+ratios = sorted(cases[f"reactor_c1_{i}"]["ns"]["p50"] / cases[f"threaded_c1_{i}"]["ns"]["p50"]
+                for i in pairs)
+regress = statistics.median(ratios) - 1.0
+per_pair = ", ".join(f"{(r - 1.0) * 100:+.1f}%" for r in ratios)
 assert regress < 0.10, (
-    f"reactor single-client p50 regressed {regress * 100:.1f}% "
-    f"({p50_reactor:.0f} vs {p50_threaded:.0f} ns), need < 10%")
+    f"reactor single-client p50 regressed {regress * 100:.1f}% in the median "
+    f"of {len(ratios)} pinned pairs ({per_pair}), need < 10%")
 print(f"    reactor gate OK: c64 throughput {ratio:.2f}x threaded, "
-      f"c1 p50 {regress * 100:+.1f}%")
+      f"c1 p50 {regress * 100:+.1f}% (median of pairs {per_pair})")
 EOF
 }
 
@@ -272,8 +278,8 @@ EOF
 run_luma_analysis_gate() {
   local build_dir="build"
   if [[ ! -f "${build_dir}/BENCH_luma_analysis.json" ]]; then
-    echo "==> luma analysis gate: BENCH_luma_analysis.json missing — skipped"
-    return 0
+    echo "==> luma analysis gate: BENCH_luma_analysis.json missing — failed" >&2
+    return 1
   fi
   python3 - "${build_dir}/BENCH_luma_analysis.json" <<'EOF'
 import json, sys

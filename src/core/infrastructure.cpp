@@ -66,10 +66,6 @@ orb::OrbPtr Infrastructure::make_orb(const std::string& name) {
   cfg.name = options_.name + "/" + name;
   cfg.listen_tcp = options_.tcp;
   cfg.interfaces = interfaces_;
-  cfg.request_timeout = options_.request_timeout;
-  cfg.retry = options_.retry;
-  cfg.pool_max_idle_per_endpoint = options_.pool_max_idle_per_endpoint;
-  cfg.pool_max_idle_age = options_.pool_max_idle_age;
   return orb::Orb::create(cfg);
 }
 

@@ -29,15 +29,6 @@ struct InfrastructureOptions {
   double monitor_period = 60.0;
   /// Namespace prefix for ORB names, so several Infrastructures coexist.
   std::string name = "infra";
-  /// Per-call transport budget for every ORB, seconds.
-  double request_timeout = 10.0;
-  /// Retry policy for idempotent operations, applied to every ORB this
-  /// infrastructure creates (trader queries, monitor reads, pings).
-  orb::RetryPolicy retry = {};
-  /// Idle TCP connections kept per endpoint on each ORB's pool.
-  size_t pool_max_idle_per_endpoint = 8;
-  /// Idle TCP connections older than this are reaped, seconds.
-  double pool_max_idle_age = 30.0;
 };
 
 class Infrastructure {

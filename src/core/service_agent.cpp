@@ -86,15 +86,6 @@ std::shared_ptr<monitor::EventMonitor> ServiceAgent::create_load_monitor(
   return make_load_monitor_with_source(Value(sim::make_loadavg_source(host)));
 }
 
-std::shared_ptr<monitor::EventMonitor> ServiceAgent::create_proc_load_monitor() {
-  auto source = NativeFunction::make("proc-loadavg", [](const ValueList&) -> ValueList {
-    const auto load = sim::read_proc_loadavg();
-    if (!load) throw Error("/proc/loadavg unavailable");
-    return {Value(Table::make_array({Value((*load)[0]), Value((*load)[1]), Value((*load)[2])}))};
-  });
-  return make_load_monitor_with_source(Value(std::move(source)));
-}
-
 std::shared_ptr<monitor::EventMonitor> ServiceAgent::create_monitor(
     const std::string& property, Value update_fn, double period) {
   ObjectRef ref;
@@ -190,8 +181,9 @@ void ServiceAgent::enable_heartbeat(double period, double lease) {
   // Heartbeats are the control traffic admission control exists to protect:
   // losing a lease renewal during overload would withdraw a healthy offer
   // exactly when clients need every replica. Mark them critical so the
-  // trader's ORB never sheds them. ("refresh" is also in the default
-  // critical_operations set — this covers traders with a custom set.)
+  // trader's ORB never sheds them. ("refresh" is also one of the operations
+  // Orb::is_critical names; the explicit flag keeps the call critical on
+  // its own.)
   orb::InvokeOptions critical_call;
   critical_call.critical = true;
   // Put existing offers on the lease right away.

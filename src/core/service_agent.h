@@ -49,8 +49,6 @@ class ServiceAgent {
   /// the {1,5,15}-minute table read from the host's load-average source, and
   /// the "increasing" aspect compares the 1- and 5-minute averages.
   std::shared_ptr<monitor::EventMonitor> create_load_monitor(const sim::HostPtr& host);
-  /// Same, but reading the real /proc/loadavg (Linux deployments).
-  std::shared_ptr<monitor::EventMonitor> create_proc_load_monitor();
   /// Generic event monitor with an arbitrary update function.
   std::shared_ptr<monitor::EventMonitor> create_monitor(const std::string& property,
                                                         Value update_fn, double period = -1);

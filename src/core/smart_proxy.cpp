@@ -17,6 +17,10 @@ namespace adapt::core {
 namespace {
 std::atomic<uint64_t> g_proxy_counter{1};
 
+/// Name under which the monitor wrapper appears in strategy code (paper
+/// Fig. 7 uses self._loadavgmon).
+constexpr const char* kMonitorField = "_loadavgmon";
+
 /// Pre-execution gate for strategy code shipped to this proxy: refuses the
 /// script — before compiling or running any of it — when static analysis
 /// under the strategy capability policy reports an error. The refusal is
@@ -240,7 +244,7 @@ std::vector<trading::OfferInfo> SmartProxy::query_offers(const std::string& cons
     const Value reply = orb_->invoke(
         lookup_, "query",
         {Value(config_.service_type), Value(constraint), Value(preference), Value(),
-         trading::Trader::policies_to_value(config_.policies)},
+         trading::Trader::policies_to_value(trading::LookupPolicies{})},
         options);
     if (reply.is_table()) {
       const Table& t = *reply.as_table();
@@ -334,14 +338,14 @@ void SmartProxy::bind(const trading::OfferInfo& offer) {
   attach_registrations();
 
   // Refresh the monitor wrapper visible to strategy code (self._loadavgmon).
-  if (!config_.monitor_field.empty()) {
-    ObjectRef mon_ref;
-    {
-      std::scoped_lock lock(mu_);
-      mon_ref = current_monitor_ref_;
-    }
+  ObjectRef mon_ref;
+  {
+    std::scoped_lock lock(mu_);
+    mon_ref = current_monitor_ref_;
+  }
+  {
     std::scoped_lock engine_lock(engine_->mutex());
-    self_.as_table()->set(Value(config_.monitor_field),
+    self_.as_table()->set(Value(kMonitorField),
                           mon_ref.empty()
                               ? Value()
                               : monitor::make_remote_monitor_wrapper(orb_, mon_ref));

@@ -78,11 +78,6 @@ struct SmartProxyConfig {
   bool auto_failover = true;
   /// Offer property holding the component's monitor ObjectRef ("" = none).
   std::string monitor_property = "LoadAvgMonitor";
-  /// Name under which the monitor wrapper appears in strategy code
-  /// (paper Fig. 7 uses self._loadavgmon).
-  std::string monitor_field = "_loadavgmon";
-  /// Lookup policies for trader queries.
-  trading::LookupPolicies policies;
   /// Initial load-balancing policy: "sticky" (the paper's single-bind
   /// behavior, default) | "round_robin" | "p2c" | "weighted". Any non-sticky
   /// policy routes un-routed invocations through a replica set holding

@@ -11,6 +11,9 @@ namespace adapt::events {
 
 namespace {
 
+/// Central inbox bound; publishes beyond it drop the oldest entry.
+constexpr size_t kInboxCapacity = 4096;
+
 /// Table payloads are snapshotted through the wire codec at publish time, so
 /// the channel's queues never share mutable state with the publisher — a
 /// publisher may keep mutating its table after publish() returns while
@@ -119,9 +122,6 @@ std::string ChannelStats::to_json() const {
 EventChannel::EventChannel(const orb::OrbPtr& orb, EventChannelConfig config)
     : config_(std::move(config)), orb_(orb) {
   if (!orb) throw EventChannelError("EventChannel requires an ORB for delivery");
-  if (config_.inbox_capacity < 1) {
-    throw EventChannelError("EventChannel: inbox_capacity must be >= 1");
-  }
 }
 
 EventChannelPtr EventChannel::create(const orb::OrbPtr& orb, EventChannelConfig config) {
@@ -176,7 +176,7 @@ bool EventChannel::publish(const std::string& event_id, const Value& payload) {
   {
     std::scoped_lock lock(mu_);
     if (stopping_) return false;
-    if (inbox_.size() >= config_.inbox_capacity) {
+    if (inbox_.size() >= kInboxCapacity) {
       // The inbox is the publisher-facing bound: never block the publisher,
       // shed the oldest pending event instead.
       inbox_.pop_front();

@@ -101,8 +101,6 @@ struct ChannelStats {
 struct EventChannelConfig {
   /// Channel name (span annotations, log lines).
   std::string name = "events";
-  /// Central inbox bound; publishes beyond it drop the oldest entry.
-  size_t inbox_capacity = 4096;
 };
 
 /// The channel servant. Create via EventChannel::create; the ORB is held

@@ -18,12 +18,19 @@ double steady_now_s() {
       .count();
 }
 
+/// Refresh-interval jitter, as a fraction of refresh_ttl.
+constexpr double kRefreshJitter = 0.2;
+/// Healthy-replica count below which the next pick forces a re-query.
+constexpr size_t kLowWater = 2;
+/// EWMA weight of the newest latency sample.
+constexpr double kEwmaAlpha = 0.3;
+/// Optimistic latency prior for replicas with no samples yet, seconds —
+/// fresh replicas look attractive until measured.
+constexpr double kPriorLatency = 0.001;
+
 ReplicaSetConfig normalized(ReplicaSetConfig c) {
   if (!c.clock) c.clock = std::make_shared<RealClock>();
   if (c.refresh_ttl <= 0) c.refresh_ttl = 10.0;
-  c.refresh_jitter = std::clamp(c.refresh_jitter, 0.0, 0.9);
-  c.ewma_alpha = std::clamp(c.ewma_alpha, 0.01, 1.0);
-  if (c.prior_latency <= 0) c.prior_latency = 0.001;
   if (c.breaker.failure_threshold < 1) c.breaker.failure_threshold = 1;
   if (c.hedge.min_delay < 0) c.hedge.min_delay = 0;
   c.hedge.max_delay = std::max(c.hedge.max_delay, c.hedge.min_delay);
@@ -92,12 +99,10 @@ Value ReplicaSnapshot::to_value() const {
 // ---- Replica ---------------------------------------------------------------
 
 Replica::Replica(std::string set_name, trading::OfferInfo offer, size_t rank, size_t total,
-                 double prior_latency, BreakerConfig breaker, double ewma_alpha,
-                 ClockPtr clock, obs::Histogram* latency_histogram)
+                 BreakerConfig breaker, ClockPtr clock, obs::Histogram* latency_histogram)
     : set_name_(std::move(set_name)),
       provider_(offer.provider),
       breaker_config_(breaker),
-      ewma_alpha_(ewma_alpha),
       clock_(std::move(clock)),
       latency_histogram_(latency_histogram),
       // Keyed by the full reference: object ids are only unique per ORB, and
@@ -106,7 +111,7 @@ Replica::Replica(std::string set_name, trading::OfferInfo offer, size_t rank, si
                                         offer.provider.str())),
       offer_(std::move(offer)),
       weight_(static_cast<double>(total - rank)),
-      ewma_latency_(prior_latency) {}
+      ewma_latency_(kPriorLatency) {}
 
 trading::OfferInfo Replica::offer() const {
   std::lock_guard lk(mu_);
@@ -224,7 +229,7 @@ void Replica::on_success(double latency_s) {
   --in_flight_;
   ++successes_;
   consecutive_failures_ = 0;
-  ewma_latency_ = ewma_alpha_ * latency_s + (1.0 - ewma_alpha_) * ewma_latency_;
+  ewma_latency_ = kEwmaAlpha * latency_s + (1.0 - kEwmaAlpha) * ewma_latency_;
   ewma_gauge_->set(ewma_latency_ * 1e9);
   if (state_ == BreakerState::HalfOpen) {
     state_ = BreakerState::Closed;
@@ -245,7 +250,7 @@ void Replica::on_overload() {
   // selection drain away from the overloaded replica instead: inflate the
   // estimate as if a sample twice the current one had been observed.
   consecutive_failures_ = 0;
-  ewma_latency_ *= 1.0 + ewma_alpha_;
+  ewma_latency_ *= 1.0 + kEwmaAlpha;
   ewma_gauge_->set(ewma_latency_ * 1e9);
   if (state_ == BreakerState::HalfOpen) {
     state_ = BreakerState::Closed;
@@ -317,8 +322,7 @@ void ReplicaSet::refresh(bool force) {
     if (!force && next_refresh_ != 0.0 && now < next_refresh_) return;
     // Claim the refresh slot before querying so concurrent picks do not
     // stampede the trader; jitter keeps a fleet of proxies out of lockstep.
-    std::uniform_real_distribution<double> jitter(-config_.refresh_jitter,
-                                                  config_.refresh_jitter);
+    std::uniform_real_distribution<double> jitter(-kRefreshJitter, kRefreshJitter);
     next_refresh_ = now + config_.refresh_ttl * (1.0 + jitter(rng_));
   }
 
@@ -349,8 +353,8 @@ void ReplicaSet::refresh(bool force) {
       next.push_back(*it);
     } else {
       next.push_back(std::make_shared<Replica>(
-          name_, offers[i], i, offers.size(), config_.prior_latency, config_.breaker,
-          config_.ewma_alpha, config_.clock, latency_histogram_));
+          name_, offers[i], i, offers.size(), config_.breaker, config_.clock,
+          latency_histogram_));
     }
   }
   replicas_ = std::move(next);
@@ -375,7 +379,7 @@ ReplicaPtr ReplicaSet::pick() {
   refresh(false);
   auto candidates = selectable_now();
 
-  if (candidates.size() < config_.low_water) {
+  if (candidates.size() < kLowWater) {
     // The healthy set thinned out: re-query for fresh offers, throttled so a
     // persistently degraded set does not hammer the trader on every pick.
     const double now = config_.clock->now();

@@ -128,8 +128,7 @@ struct ReplicaSnapshot {
 class Replica {
  public:
   Replica(std::string set_name, trading::OfferInfo offer, size_t rank, size_t total,
-          double prior_latency, BreakerConfig breaker, double ewma_alpha,
-          ClockPtr clock, obs::Histogram* latency_histogram);
+          BreakerConfig breaker, ClockPtr clock, obs::Histogram* latency_histogram);
 
   [[nodiscard]] const ObjectRef& provider() const { return provider_; }
   [[nodiscard]] trading::OfferInfo offer() const;
@@ -173,7 +172,6 @@ class Replica {
   const std::string set_name_;
   const ObjectRef provider_;
   const BreakerConfig breaker_config_;
-  const double ewma_alpha_;
   const ClockPtr clock_;
   obs::Histogram* const latency_histogram_;  // registry-owned; process lifetime
   obs::Gauge* const ewma_gauge_;             // registry-owned
@@ -197,17 +195,9 @@ using ReplicaPtr = std::shared_ptr<Replica>;
 // ---- replica set -----------------------------------------------------------
 
 struct ReplicaSetConfig {
-  /// Seconds between trader re-queries; each interval is jittered by
-  /// +-refresh_jitter so a fleet of proxies does not re-query in lockstep.
+  /// Seconds between trader re-queries; each interval is jittered by +-20%
+  /// so a fleet of proxies does not re-query in lockstep.
   double refresh_ttl = 10.0;
-  double refresh_jitter = 0.2;  // fraction of refresh_ttl
-  /// Healthy-replica count below which the next pick forces a re-query.
-  size_t low_water = 2;
-  /// EWMA weight of the newest latency sample.
-  double ewma_alpha = 0.3;
-  /// Optimistic latency prior for replicas with no samples yet, seconds —
-  /// fresh replicas look attractive until measured.
-  double prior_latency = 0.001;
   BreakerConfig breaker;
   HedgeConfig hedge;
   /// Jitter RNG seed; 0 derives one from the set name (deterministic per

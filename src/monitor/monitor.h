@@ -239,21 +239,16 @@ class EventMonitor : public BasicMonitor {
 /// Smart proxies register one of these and enqueue the events it receives.
 /// Also accepts the batched v2 form, `notifyEvents(list)` where each entry
 /// is { event = <id> [, payload = <value>] }, invoking the callback once per
-/// entry (payloads are surfaced through the optional payload callback).
+/// entry (payloads are ignored).
 class CallbackObserver : public orb::Servant {
  public:
   using Callback = std::function<void(const std::string& event_id)>;
-  using PayloadCallback = std::function<void(const std::string& event_id, const Value& payload)>;
 
   explicit CallbackObserver(Callback cb) : cb_(std::move(cb)) {}
 
-  /// Also receive event payloads (channel deliveries carry them; the
-  /// monitor's direct notifyEvent does not, so payload is nil there).
-  void on_payload(PayloadCallback cb) { payload_cb_ = std::move(cb); }
-
   Value dispatch(const std::string& operation, const ValueList& args) override {
     if (operation == "notifyEvent") {
-      notify(args.empty() ? std::string() : args.at(0).as_string(), Value());
+      cb_(args.empty() ? std::string() : args.at(0).as_string());
       return {};
     }
     if (operation == "notifyEvents") {
@@ -261,8 +256,7 @@ class CallbackObserver : public orb::Servant {
       for (int64_t i = 1; i <= list->length(); ++i) {
         const Value entry = list->geti(i);
         if (!entry.is_table()) continue;
-        notify(entry.as_table()->get(Value("event")).as_string(),
-               entry.as_table()->get(Value("payload")));
+        cb_(entry.as_table()->get(Value("event")).as_string());
       }
       return {};
     }
@@ -271,12 +265,7 @@ class CallbackObserver : public orb::Servant {
   [[nodiscard]] std::string interface_name() const override { return "EventObserver"; }
 
  private:
-  void notify(const std::string& event_id, const Value& payload) {
-    cb_(event_id);
-    if (payload_cb_) payload_cb_(event_id, payload);
-  }
   Callback cb_;
-  PayloadCallback payload_cb_;
 };
 
 }  // namespace adapt::monitor

@@ -96,8 +96,7 @@ OrbPtr Orb::create(OrbConfig config) {
 
 Orb::Orb(OrbConfig config)
     : config_(std::move(config)),
-      retry_budget_(RetryBudget::Config{config_.retry_budget_ratio,
-                                        config_.retry_budget_cap}) {
+      retry_budget_(RetryBudget::Config{.cap = config_.retry_budget_cap}) {
   name_ = config_.name.empty() ? "orb-" + std::to_string(g_orb_counter++) : config_.name;
   inproc_endpoint_ = "inproc://" + name_;
   interfaces_ = config_.interfaces ? config_.interfaces
@@ -119,8 +118,6 @@ Orb::Orb(OrbConfig config)
   }
   PoolConfig pool_config;
   pool_config.timeout = config_.request_timeout;
-  pool_config.max_idle_per_endpoint = config_.pool_max_idle_per_endpoint;
-  pool_config.max_idle_age = config_.pool_max_idle_age;
   pool_ = std::make_unique<TcpConnectionPool>(std::move(pool_config), stats_);
 }
 
@@ -134,15 +131,12 @@ void Orb::start() {
       // ~Orb on a serving thread after main() — and the static inproc
       // registry — are gone. Safe because shutdown() stops the listener,
       // joining every serving thread, before any member is torn down.
-      ReactorConfig reactor_config;
-      reactor_config.workers = config_.reactor_workers;
-      reactor_config.write_queue_cap = config_.reactor_write_queue_cap;
       listener_ = std::make_unique<TcpListener>(
           config_.listen_host, config_.listen_port,
           [this](const Bytes& payload) -> std::optional<Bytes> {
             return handle_payload(payload);
           },
-          reactor_config);
+          ReactorConfig{.workers = config_.reactor_workers});
     } catch (...) {
       InprocRegistry::instance().remove(inproc_endpoint_);
       throw;
@@ -524,7 +518,7 @@ Value Orb::invoke_traced(const ObjectRef& ref, const std::string& operation,
       options.idempotent.has_value() ? *options.idempotent : is_idempotent(operation);
   const bool critical =
       options.critical.has_value() ? *options.critical : is_critical(operation);
-  const RetryPolicy policy = options.retry ? *options.retry : config_.retry;
+  const RetryPolicy policy = options.retry.value_or(RetryPolicy{});
   double budget =
       options.deadline > 0.0 ? options.deadline : config_.request_timeout;
   // Deadline inheritance: an invoke made from inside a servant dispatch
@@ -631,6 +625,12 @@ Value Orb::invoke_traced(const ObjectRef& ref, const std::string& operation,
       if (!backoff_within_budget(attempt)) throw;
     }
   }
+}
+
+bool Orb::is_critical(const std::string& operation) {
+  static const std::set<std::string> kCriticalOperations = {
+      "_ping", "_interface", "_stats", "refresh", "resolve", "query", "list"};
+  return kCriticalOperations.count(operation) > 0;
 }
 
 bool Orb::try_spend_retry_token(const std::string& endpoint) {

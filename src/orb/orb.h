@@ -58,11 +58,11 @@ struct InvokeOptions {
   double deadline = 0.0;
   /// Overrides the operation-name idempotence classification.
   std::optional<bool> idempotent;
-  /// Overrides the ORB's retry policy for this call.
+  /// Overrides the default retry policy (RetryPolicy{}) for this call.
   std::optional<RetryPolicy> retry;
   /// Overrides the operation-name criticality classification
-  /// (OrbConfig::critical_operations): critical requests bypass the remote
-  /// peer's admission control so control-plane traffic survives overload.
+  /// (Orb::is_critical): critical requests bypass the remote peer's
+  /// admission control so control-plane traffic survives overload.
   std::optional<bool> critical;
 };
 
@@ -86,21 +86,14 @@ struct OrbConfig {
   /// Share an interface repository across ORBs; a fresh one when null.
   std::shared_ptr<InterfaceRepository> interfaces;
 
-  /// Retry policy applied to idempotent operations over TCP.
-  RetryPolicy retry = {};
-
-  /// Operations safe to re-execute; retried per `retry` when a transport
-  /// failure strikes. Builtins (_ping/_interface/_stats), trader queries
-  /// and monitor reads by default. Per-call overridable via InvokeOptions.
+  /// Operations safe to re-execute; retried per RetryPolicy{} (or the
+  /// InvokeOptions override) when a transport failure strikes. Builtins
+  /// (_ping/_interface/_stats), trader queries and monitor reads by
+  /// default. Per-call overridable via InvokeOptions.
   std::set<std::string> idempotent_operations = {
       "_ping",    "_interface",     "_stats",          "query",
       "getvalue", "getAspectValue", "definedAspects",  "resolve",
       "list",     "describe_type",  "list_types"};
-
-  /// Idle TCP connections kept per endpoint (extra checkins close).
-  size_t pool_max_idle_per_endpoint = 8;
-  /// Idle TCP connections older than this are reaped, seconds.
-  double pool_max_idle_age = 30.0;
 
   /// Server-side admission control: concurrent servant dispatches allowed
   /// before arrivals queue (and queued work is shed by queue delay). 0
@@ -118,25 +111,15 @@ struct OrbConfig {
   /// Hard cap on time a dispatch may wait for admission, seconds.
   double admission_max_queue_wait = 1.0;
 
-  /// Control-plane operations that admission control never sheds: liveness
-  /// probes and reflection builtins, service-agent heartbeat renewal
-  /// ("refresh") and trader lookups — exactly the traffic adaptation needs
-  /// alive *during* overload. Per-call overridable via InvokeOptions.
-  std::set<std::string> critical_operations = {
-      "_ping", "_interface", "_stats", "refresh", "resolve", "query", "list"};
-
   /// Client-side retry/hedge budget (token bucket per endpoint): each first
-  /// attempt earns `ratio` tokens up to `cap`, each retry or hedge spends
-  /// one, so sustained failure caps retry amplification at ~ratio of
+  /// attempt earns 0.1 tokens up to `retry_budget_cap`, each retry or hedge
+  /// spends one, so sustained failure caps retry amplification at ~10% of
   /// offered load instead of multiplying it by max_attempts.
-  double retry_budget_ratio = 0.1;
   double retry_budget_cap = 10.0;
 
-  /// Server reactor tuning (effective with listen_tcp): core worker threads
-  /// (0 = auto-size to the hardware) and the per-connection pending-write
-  /// cap in bytes (a slow consumer exceeding it is disconnected).
+  /// Server reactor core worker threads (effective with listen_tcp; 0 =
+  /// auto-size to the hardware).
   size_t reactor_workers = 0;
-  size_t reactor_write_queue_cap = 8u << 20;
 
   /// Destination ring for this ORB's spans; the process-wide
   /// obs::default_tracer() when null (so one query API sees every ORB of an
@@ -188,7 +171,6 @@ class Orb : public std::enable_shared_from_this<Orb> {
 
   /// Primary endpoint: the TCP endpoint when listening, else inproc.
   [[nodiscard]] const std::string& endpoint() const { return primary_endpoint_; }
-  [[nodiscard]] const std::string& inproc_endpoint() const { return inproc_endpoint_; }
   [[nodiscard]] const std::string& name() const { return name_; }
 
   // ---- object adapter -------------------------------------------------
@@ -238,11 +220,12 @@ class Orb : public std::enable_shared_from_this<Orb> {
     return config_.idempotent_operations.count(operation) > 0;
   }
 
-  /// This ORB's criticality classification for `operation`
-  /// (OrbConfig::critical_operations).
-  [[nodiscard]] bool is_critical(const std::string& operation) const {
-    return config_.critical_operations.count(operation) > 0;
-  }
+  /// Whether `operation` is control-plane traffic that admission control
+  /// never sheds: liveness probes and reflection builtins, service-agent
+  /// heartbeat renewal ("refresh") and trader lookups — exactly the traffic
+  /// adaptation needs alive *during* overload. Per-call overridable via
+  /// InvokeOptions.
+  [[nodiscard]] static bool is_critical(const std::string& operation);
 
   /// Spends one retry-budget token for `endpoint` if available. The lb
   /// hedging path consults this before firing a hedge so hedges and retries
@@ -250,7 +233,6 @@ class Orb : public std::enable_shared_from_this<Orb> {
   bool try_spend_retry_token(const std::string& endpoint);
 
   [[nodiscard]] InterfaceRepository& interfaces() { return *interfaces_; }
-  [[nodiscard]] std::shared_ptr<InterfaceRepository> interfaces_ptr() { return interfaces_; }
 
   /// Number of requests this ORB dispatched as a server (diagnostics).
   [[nodiscard]] uint64_t requests_served() const { return stats_->requests_served(); }

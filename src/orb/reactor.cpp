@@ -34,6 +34,10 @@ constexpr size_t kPassReadLimit = 1u << 20;
 /// so a burst of large replies to a healthy consumer is not mistaken for a
 /// slow one at the write-queue cap.
 constexpr size_t kFlushThreshold = 256u * 1024;
+/// Accept-failure backoff bounds, seconds (exponential between them).
+constexpr double kAcceptBackoffMin = 0.01;
+constexpr double kAcceptBackoffMax = 1.0;
+constexpr int kListenBacklog = 256;
 
 double steady_seconds() {
   return std::chrono::duration<double>(
@@ -128,7 +132,7 @@ EpollReactor::EpollReactor(const std::string& host, uint16_t port, Handler handl
   if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof addr) < 0) {
     throw fail("bind " + host);
   }
-  if (::listen(listen_fd_, config_.listen_backlog) < 0) throw fail("listen");
+  if (::listen(listen_fd_, kListenBacklog) < 0) throw fail("listen");
   sockaddr_in bound{};
   socklen_t len = sizeof bound;
   (void)::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&bound), &len);
@@ -341,8 +345,8 @@ void EpollReactor::handle_accept() {
     ReactorMetrics::get().accept_error.add();
     const int streak = accept_fail_streak_.fetch_add(1, std::memory_order_relaxed);
     const double delay =
-        std::min(config_.accept_backoff_max,
-                 config_.accept_backoff_min * static_cast<double>(1 << std::min(streak, 7)));
+        std::min(kAcceptBackoffMax,
+                 kAcceptBackoffMin * static_cast<double>(1 << std::min(streak, 7)));
     accept_rearm_at_.store(steady_seconds() + delay, std::memory_order_release);
     if (transient_accept_errno(errno)) {
       log_warn("accept failed transiently (", std::strerror(errno), "), retrying in ",

@@ -66,10 +66,6 @@ struct ReactorConfig {
   /// Per-connection pending-output cap, bytes. Exceeding it disconnects the
   /// (slow) consumer instead of buffering without bound.
   size_t write_queue_cap = 8u << 20;
-  /// Accept-failure backoff bounds, seconds (exponential between them).
-  double accept_backoff_min = 0.01;
-  double accept_backoff_max = 1.0;
-  int listen_backlog = 256;
 };
 
 class EpollReactor {

@@ -27,7 +27,6 @@ struct Interval {
 
   [[nodiscard]] bool is_top() const { return lo == -kInf && hi == kInf; }
   [[nodiscard]] bool is_constant() const { return lo == hi && std::isfinite(lo); }
-  [[nodiscard]] bool contains(double v) const { return lo <= v && v <= hi; }
 
   /// Least upper bound: the smallest interval covering both.
   [[nodiscard]] Interval join(const Interval& o) const {

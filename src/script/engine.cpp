@@ -99,14 +99,6 @@ std::vector<analysis::Diagnostic> ScriptEngine::analyze(
   return analysis::analyze_source(code, chunk_name, natives_, opts);
 }
 
-std::vector<analysis::Diagnostic> ScriptEngine::analyze_function(
-    std::string_view code, const std::string& chunk_name,
-    const analysis::CapabilityPolicy* policy) {
-  // Must match compile_function's wrapping so line numbers agree.
-  const std::string wrapped = "return (" + std::string(code) + "\n)";
-  return analyze(wrapped, chunk_name, policy);
-}
-
 namespace {
 
 uint64_t fnv1a(std::string_view s) {
@@ -157,6 +149,7 @@ ScriptEngine::AnalysisVerdict ScriptEngine::analyze_cached(
 ScriptEngine::AnalysisVerdict ScriptEngine::analyze_function_cached(
     std::string_view code, const std::string& chunk_name,
     const analysis::CapabilityPolicy* policy) {
+  // Must match compile_function's wrapping so line numbers agree.
   const std::string wrapped = "return (" + std::string(code) + "\n)";
   return analyze_cached(wrapped, chunk_name, policy);
 }

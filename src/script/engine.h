@@ -78,14 +78,6 @@ class ScriptEngine {
       std::string_view code, const std::string& chunk_name = "=analyze",
       const analysis::CapabilityPolicy* policy = nullptr);
 
-  /// Analyzes `code` exactly as compile_function would see it (wrapped into
-  /// a `return (...)` chunk so a bare `function(...) ... end` literal
-  /// parses). Line numbers in diagnostics match compile_function's runtime
-  /// errors. Use at every ingestion point that feeds compile_function.
-  std::vector<analysis::Diagnostic> analyze_function(
-      std::string_view code, const std::string& chunk_name = "=fn",
-      const analysis::CapabilityPolicy* policy = nullptr);
-
   /// A cached analysis outcome for an ingestion point: the merged
   /// diagnostics plus the dataflow pass's inferred capability manifest and
   /// sink list, and whether this call was served from the verdict cache.
@@ -96,15 +88,19 @@ class ScriptEngine {
     bool cache_hit = false;
   };
 
-  /// analyze()/analyze_function() with memoized verdicts. Monitors re-verify
-  /// the same aspect/update code on every reinstall and proxies re-analyze
-  /// strategy scripts per event, so ingestion points use these. Keyed by
+  /// analyze() with memoized verdicts. Monitors re-verify the same
+  /// aspect/update code on every reinstall and proxies re-analyze strategy
+  /// scripts per event, so ingestion points use these. Keyed by
   /// (code hash, policy, native-catalog version, root-environment epoch) —
   /// registering a new native or global invalidates stale verdicts; verdicts
   /// containing parse errors are never cached (messages embed chunk names).
   AnalysisVerdict analyze_cached(std::string_view code,
                                  const std::string& chunk_name = "=analyze",
                                  const analysis::CapabilityPolicy* policy = nullptr);
+  /// Analyzes `code` exactly as compile_function would see it (wrapped into
+  /// a `return (...)` chunk so a bare `function(...) ... end` literal
+  /// parses). Line numbers in diagnostics match compile_function's runtime
+  /// errors. Use at every ingestion point that feeds compile_function.
   AnalysisVerdict analyze_function_cached(std::string_view code,
                                           const std::string& chunk_name = "=fn",
                                           const analysis::CapabilityPolicy* policy = nullptr);

@@ -5,10 +5,17 @@
 
 namespace adapt::sim {
 
+namespace {
+
+constexpr double kSamplePeriod = 5.0;  // seconds between loadavg samples
+/// Smoothing horizons for the three load averages, seconds.
+constexpr std::array<double, 3> kWindows = {60.0, 300.0, 900.0};
+
+}  // namespace
+
 Host::Host(HostConfig config, std::shared_ptr<TimerService> timers)
     : config_(std::move(config)), timers_(std::move(timers)) {
   if (!timers_) throw Error("Host requires a TimerService");
-  if (config_.sample_period <= 0) throw Error("Host sample_period must be positive");
 }
 
 Host::~Host() { stop(); }
@@ -16,7 +23,7 @@ Host::~Host() { stop(); }
 void Host::start() {
   if (task_ != 0) return;
   std::weak_ptr<Host> weak = weak_from_this();
-  task_ = timers_->schedule_every(config_.sample_period, [weak] {
+  task_ = timers_->schedule_every(kSamplePeriod, [weak] {
     if (auto self = weak.lock()) self->sample();
   });
 }
@@ -76,11 +83,11 @@ double Host::total_work() const {
 void Host::sample() {
   std::scoped_lock lock(mu_);
   // Utilization induced by served requests over the last sample interval.
-  induced_ = pending_work_ / config_.sample_period;
+  induced_ = pending_work_ / kSamplePeriod;
   pending_work_ = 0;
   const double n = background_ + induced_;
   for (size_t i = 0; i < load_.size(); ++i) {
-    const double decay = std::exp(-config_.sample_period / config_.windows[i]);
+    const double decay = std::exp(-kSamplePeriod / kWindows[i]);
     load_[i] = load_[i] * decay + n * (1.0 - decay);
   }
 }

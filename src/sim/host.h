@@ -5,9 +5,9 @@
 // Model:
 //  * A host runs `background_jobs` long-lived CPU hogs (injected load) plus
 //    the CPU work recorded by its server components (`record_work`).
-//  * Every `sample_period` seconds (default 5 s, like the kernel) the host
-//    samples its ready-queue length n and folds it into three exponentially
-//    damped averages with 1/5/15-minute horizons:
+//  * Every 5 s (like the kernel) the host samples its ready-queue length n
+//    and folds it into three exponentially damped averages with
+//    1/5/15-minute horizons:
 //        load := load * e^(-dt/T) + n * (1 - e^(-dt/T))
 //  * Response times follow a processor-sharing approximation:
 //        response = base * (1 + ready_jobs)
@@ -31,9 +31,6 @@ namespace adapt::sim {
 
 struct HostConfig {
   std::string name = "host";
-  double sample_period = 5.0;  // seconds between loadavg samples
-  /// Smoothing horizons for the three load averages, seconds.
-  std::array<double, 3> windows = {60.0, 300.0, 900.0};
 };
 
 class Host : public std::enable_shared_from_this<Host> {

@@ -45,20 +45,6 @@ void ServiceTypeRepository::remove(const std::string& name) {
   types_.erase(name);
 }
 
-void ServiceTypeRepository::mask(const std::string& name) {
-  std::scoped_lock lock(mu_);
-  const auto it = types_.find(name);
-  if (it == types_.end()) throw UnknownServiceType("no such service type: " + name);
-  it->second.masked = true;
-}
-
-void ServiceTypeRepository::unmask(const std::string& name) {
-  std::scoped_lock lock(mu_);
-  const auto it = types_.find(name);
-  if (it == types_.end()) throw UnknownServiceType("no such service type: " + name);
-  it->second.masked = false;
-}
-
 bool ServiceTypeRepository::has(const std::string& name) const {
   std::scoped_lock lock(mu_);
   return types_.count(name) != 0;

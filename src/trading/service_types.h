@@ -44,8 +44,6 @@ struct ServiceTypeDef {
   std::string interface;
   std::vector<PropertyDef> properties;
   std::vector<std::string> supertypes;
-  /// Masked types cannot receive new offers (OMG mask_type).
-  bool masked = false;
 };
 
 class ServiceTypeRepository {
@@ -58,9 +56,6 @@ class ServiceTypeRepository {
   /// Removes a type; throws UnknownServiceType when absent or TradingError
   /// when other types inherit from it.
   void remove(const std::string& name);
-
-  void mask(const std::string& name);
-  void unmask(const std::string& name);
 
   [[nodiscard]] bool has(const std::string& name) const;
   [[nodiscard]] std::optional<ServiceTypeDef> find(const std::string& name) const;

@@ -97,7 +97,6 @@ Value Trader::policies_to_value(const LookupPolicies& p) {
   t->set(Value("return_card"), Value(static_cast<double>(p.return_card)));
   t->set(Value("use_dynamic_properties"), Value(p.use_dynamic_properties));
   t->set(Value("exact_type_match"), Value(p.exact_type_match));
-  t->set(Value("hop_count"), Value(static_cast<double>(p.hop_count)));
   return Value(std::move(t));
 }
 
@@ -116,9 +115,6 @@ LookupPolicies Trader::policies_from_value(const Value& v) {
   }
   if (const Value x = t.get(Value("exact_type_match")); x.is_bool()) {
     p.exact_type_match = x.as_bool();
-  }
-  if (const Value x = t.get(Value("hop_count")); x.is_number()) {
-    p.hop_count = static_cast<int>(x.as_number());
   }
   return p;
 }
@@ -238,7 +234,6 @@ void Trader::validate_offer(const std::string& service_type, const ObjectRef& pr
                             const PropertyMap& properties) const {
   const auto type = types_.find(service_type);
   if (!type) throw UnknownServiceType("no such service type: " + service_type);
-  if (type->masked) throw TradingError("service type is masked: " + service_type);
   if (provider.empty()) throw TradingError("offer provider reference is empty");
 
   // Interface conformance: only enforceable when both sides are declared.
@@ -304,9 +299,12 @@ std::string Trader::export_offer(const std::string& service_type, const ObjectRe
   offer->provider = provider;
   offer->properties = std::move(properties);
   std::scoped_lock lock(mu_);
+  const double now = clock_->now();
+  erase_offers_locked(
+      [&](const ServiceOffer& o) { return o.expires_at > 0 && o.expires_at <= now; });
   offer->id = config_.name + "-offer-" + std::to_string(next_offer_++);
   offer->sequence = sequence_++;
-  offer->expires_at = lease_seconds > 0 ? clock_->now() + lease_seconds : 0;
+  offer->expires_at = lease_seconds > 0 ? now + lease_seconds : 0;
   const std::string id = offer->id;
   publish_locked(std::move(offer));
   log_debug("trader ", config_.name, ": exported ", id, " type=", service_type);
@@ -378,14 +376,6 @@ ServiceOffer Trader::describe(const std::string& offer_id) const {
   return *it->second;
 }
 
-std::vector<std::string> Trader::list_offers() const {
-  std::scoped_lock lock(mu_);
-  std::vector<std::string> ids;
-  ids.reserve(offers_.size());
-  for (const auto& [id, offer] : offers_) ids.push_back(id);
-  return ids;
-}
-
 size_t Trader::offer_count() const {
   std::scoped_lock lock(mu_);
   return offers_.size();
@@ -407,11 +397,6 @@ Value Trader::eval_dynamic(const ServiceOffer& offer, const std::string& name,
   }
 }
 
-TraderAdminSettings Trader::admin() const {
-  std::scoped_lock lock(mu_);
-  return admin_;
-}
-
 void Trader::set_admin(const TraderAdminSettings& settings) {
   std::scoped_lock lock(mu_);
   admin_ = settings;
@@ -431,26 +416,11 @@ std::vector<OfferInfo> Trader::query(const std::string& service_type,
     std::scoped_lock lock(mu_);
     policies.search_card = std::min(policies.search_card, admin_.max_search_card);
     policies.return_card = std::min(policies.return_card, admin_.max_return_card);
-    policies.hop_count = std::min(policies.hop_count, admin_.max_hop_count);
     if (!admin_.supports_dynamic_properties) policies.use_dynamic_properties = false;
   }
   const auto parsed_constraint = parses_.constraint(constraint);
   const auto parsed_preference = parses_.preference(preference);
-
-  std::vector<OfferInfo> results =
-      query_local(service_type, *parsed_constraint, *parsed_preference, desired, policies);
-
-  if (policies.hop_count > 0) {
-    auto remote = query_links(service_type, constraint, preference, desired, policies);
-    for (auto& info : remote) {
-      const bool duplicate = std::any_of(results.begin(), results.end(), [&](const OfferInfo& r) {
-        return r.offer_id == info.offer_id && r.provider == info.provider;
-      });
-      if (!duplicate) results.push_back(std::move(info));
-    }
-  }
-  if (results.size() > policies.return_card) results.resize(policies.return_card);
-  return results;
+  return query_local(service_type, *parsed_constraint, *parsed_preference, desired, policies);
 }
 
 /// The properties one query looks at, by slot: the constraint's names
@@ -666,8 +636,7 @@ std::vector<OfferInfo> Trader::query_local(const std::string& service_type,
   }
 
   // Offers past return_card are never returned, so their results (and any
-  // dynamic property only a result would read) are not built: federated
-  // results are appended after the local ones before the merge is cut.
+  // dynamic property only a result would read) are not built.
   matched.resize(std::min(matched.size(), policies.return_card));
   std::vector<OfferInfo> results;
   results.reserve(matched.size());
@@ -689,55 +658,6 @@ std::vector<OfferInfo> Trader::query_local(const std::string& service_type,
     results.push_back(std::move(info));
   }
   return results;
-}
-
-std::vector<OfferInfo> Trader::query_links(const std::string& service_type,
-                                           const std::string& constraint,
-                                           const std::string& preference,
-                                           const std::vector<std::string>& desired,
-                                           const LookupPolicies& policies) {
-  std::map<std::string, ObjectRef> links;
-  {
-    std::scoped_lock lock(mu_);
-    links = links_;
-  }
-  std::vector<OfferInfo> out;
-  LookupPolicies next = policies;
-  next.hop_count = policies.hop_count - 1;
-  for (const auto& [name, lookup_ref] : links) {
-    try {
-      const Value reply = orb_->invoke(
-          lookup_ref, "query",
-          {Value(service_type), Value(constraint), Value(preference),
-           string_list_to_value(desired), policies_to_value(next)});
-      if (!reply.is_table()) continue;
-      const Table& t = *reply.as_table();
-      for (int64_t i = 1; i <= t.length(); ++i) {
-        out.push_back(offer_info_from_value(t.geti(i)));
-      }
-    } catch (const Error& e) {
-      log_warn("federated query via link '", name, "' failed: ", e.what());
-    }
-  }
-  return out;
-}
-
-void Trader::add_link(const std::string& link_name, const ObjectRef& remote_lookup) {
-  std::scoped_lock lock(mu_);
-  links_[link_name] = remote_lookup;
-}
-
-void Trader::remove_link(const std::string& link_name) {
-  std::scoped_lock lock(mu_);
-  links_.erase(link_name);
-}
-
-std::vector<std::string> Trader::links() const {
-  std::scoped_lock lock(mu_);
-  std::vector<std::string> names;
-  names.reserve(links_.size());
-  for (const auto& [name, ref] : links_) names.push_back(name);
-  return names;
 }
 
 // ---- TraderClient -----------------------------------------------------------

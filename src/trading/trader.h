@@ -1,4 +1,4 @@
-// The trading service (OMG CosTrading Lookup/Register subset + federation).
+// The trading service (OMG CosTrading Lookup/Register subset).
 //
 // This is the component-selection substrate of the paper (SIV): service
 // agents export offers describing server components with static and
@@ -63,9 +63,9 @@ struct ServiceOffer {
   PropertyMap properties;
   uint64_t sequence = 0;  // registration order (preference "first")
   /// Absolute expiry time on the trader's clock; <= 0 means no lease.
-  /// Expired offers never match queries and are purged lazily — service
-  /// agents keep their offers alive with periodic refreshes (heartbeats),
-  /// so a crashed host's stale offers disappear by themselves.
+  /// Expired offers never match queries and the next export purges them —
+  /// service agents keep their offers alive with periodic refreshes
+  /// (heartbeats), so a crashed host's stale offers disappear by themselves.
   double expires_at = 0;
 };
 
@@ -79,17 +79,14 @@ struct LookupPolicies {
   bool use_dynamic_properties = true;
   /// When true, subtype offers are not considered.
   bool exact_type_match = false;
-  /// Federation: >0 lets the query propagate to linked traders.
-  int hop_count = 1;
 };
 
 /// Trader-wide limits (OMG CosTrading::Admin subset). Importer policies are
 /// clamped against these, so a misbehaving client cannot force unbounded
-/// searches or federation storms.
+/// searches.
 struct TraderAdminSettings {
   size_t max_search_card = 10000;
   size_t max_return_card = 1000;
-  int max_hop_count = 5;
   /// When false, dynamic properties are globally disabled (evalDP is never
   /// called) regardless of importer policy.
   bool supports_dynamic_properties = true;
@@ -128,6 +125,7 @@ class Trader {
   /// mandatory properties, property value types and (when the interface
   /// repository knows both) provider interface conformance.
   /// `lease_seconds` > 0 makes the offer expire unless refreshed in time.
+  /// Also drops every offer whose lease has run out.
   std::string export_offer(const std::string& service_type, const ObjectRef& provider,
                            PropertyMap properties, double lease_seconds = 0);
   /// Extends an offer's lease by `lease_seconds` from now (0 = make
@@ -141,7 +139,6 @@ class Trader {
   /// All-or-nothing: every change is validated before any is applied.
   void modify(const std::string& offer_id, const PropertyMap& changes);
   [[nodiscard]] ServiceOffer describe(const std::string& offer_id) const;
-  [[nodiscard]] std::vector<std::string> list_offers() const;
   [[nodiscard]] size_t offer_count() const;
   /// Withdraws every offer whose provider matches `provider`.
   size_t withdraw_provider(const ObjectRef& provider);
@@ -159,15 +156,7 @@ class Trader {
                                const LookupPolicies& policies = {});
 
   // ---- Admin interface ---------------------------------------------------
-  [[nodiscard]] TraderAdminSettings admin() const;
   void set_admin(const TraderAdminSettings& settings);
-
-  // ---- federation ---------------------------------------------------------
-  /// Links another trader's Lookup servant; queries with hop_count > 0
-  /// propagate to links with hop_count - 1.
-  void add_link(const std::string& link_name, const ObjectRef& remote_lookup);
-  void remove_link(const std::string& link_name);
-  [[nodiscard]] std::vector<std::string> links() const;
 
   // ---- ORB exposure ------------------------------------------------------
   [[nodiscard]] const ObjectRef& lookup_ref() const { return lookup_ref_; }
@@ -201,11 +190,6 @@ class Trader {
   /// Writers drop it; the next query rebuilds it, so queries between two
   /// writes share one copy.
   std::shared_ptr<const std::vector<OfferPtr>> snapshot();
-  std::vector<OfferInfo> query_links(const std::string& service_type,
-                                     const std::string& constraint,
-                                     const std::string& preference,
-                                     const std::vector<std::string>& desired,
-                                     const LookupPolicies& policies);
   /// Calls the property's evaluator; nil when the call fails.
   Value eval_dynamic(const ServiceOffer& offer, const std::string& name,
                      const DynamicProperty& dp) const;
@@ -229,7 +213,6 @@ class Trader {
   std::map<std::string, OfferPtr> offers_;  // by id
   std::vector<OfferPtr> by_sequence_;       // registration order
   std::shared_ptr<const std::vector<OfferPtr>> snapshot_;  // by_sequence_, shared
-  std::map<std::string, ObjectRef> links_;
   uint64_t next_offer_ = 1;
   uint64_t sequence_ = 0;
   std::mt19937 rng_;

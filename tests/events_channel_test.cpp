@@ -439,7 +439,7 @@ TEST_F(EventChannelTest, EvictsSubscriberAfterConsecutiveFailures) {
 // ---- churn / soak ----------------------------------------------------------
 
 TEST_F(EventChannelTest, SurvivesSubscriberChurnUnderSustainedPublishes) {
-  constexpr int kEvents = 2000;  // < inbox_capacity: the publisher never drops
+  constexpr int kEvents = 2000;  // < the 4096-entry inbox: the publisher never drops
   auto channel = make_channel();
 
   // One stable Block-policy subscriber must see every single event.

@@ -51,9 +51,8 @@ class BreakerTest : public ::testing::Test {
     offer.offer_id = "offer-1";
     offer.service_type = "Svc";
     offer.provider = ref_;
-    return Replica("brk", offer, /*rank=*/0, /*total=*/1, /*prior_latency=*/0.001,
-                   BreakerConfig{threshold, cooldown}, /*ewma_alpha=*/0.3, clock_,
-                   &obs::metrics().histogram("lb.brk.latency_ns"));
+    return Replica("brk", offer, /*rank=*/0, /*total=*/1, BreakerConfig{threshold, cooldown},
+                   clock_, &obs::metrics().histogram("lb.brk.latency_ns"));
   }
 
   Value invoke(Replica& r) { return r.invoke(orb_, "op", {}); }

@@ -275,7 +275,7 @@ TEST(OrbDeadlineTest, ServerSideCriticalOperationsCoverV1Clients) {
   std::thread holder = server.occupy(250);
 
   // A default client emits v1 frames (no critical bit on the wire) — the
-  // server's critical_operations set classifies "_ping" as control traffic
+  // server's Orb::is_critical classifies "_ping" as control traffic
   // anyway, so heartbeat-class operations from old clients survive overload.
   auto client = Orb::create({.name = "v1-critical-client"});
   EXPECT_TRUE(client->invoke(server.ref, "_ping", {}).truthy());

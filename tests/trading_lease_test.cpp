@@ -79,6 +79,13 @@ TEST_F(LeaseTest, PurgeRemovesOnlyExpired) {
   EXPECT_EQ(trader_.offer_count(), 2u);
 }
 
+TEST_F(LeaseTest, ExpiredOffersLeaveTheIndexOnTheNextExport) {
+  export_with_lease(10.0);
+  clock_->advance(20.0);
+  export_with_lease(10.0);
+  EXPECT_EQ(trader_.offer_count(), 1u) << "the export purged the expired offer";
+}
+
 TEST_F(LeaseTest, LeaseViaRegisterServant) {
   auto client_orb = orb::Orb::create();
   TraderClient client(client_orb, trader_.lookup_ref(), trader_.register_ref());

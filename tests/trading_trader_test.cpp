@@ -1,5 +1,5 @@
 // Trader tests: service types, offer lifecycle, queries with constraints and
-// preferences, dynamic properties, policies, federation, remote clients,
+// preferences, dynamic properties, policies, remote clients,
 // re-entrant evaluators, the parse cache, and ordering on a mixed market.
 #include "trading/trader.h"
 
@@ -83,13 +83,6 @@ TEST_F(TraderTest, SubtypePropertyConflictRejected) {
   bad.supertypes = {"LoadService"};
   bad.properties = {{"LoadAvg", "string", PropertyDef::Mode::Normal}};
   EXPECT_THROW(trader_.types().add(bad), PropertyMismatch);
-}
-
-TEST_F(TraderTest, MaskedTypeRejectsExports) {
-  trader_.types().mask("LoadService");
-  EXPECT_THROW(export_host("h", 1.0), TradingError);
-  trader_.types().unmask("LoadService");
-  EXPECT_NO_THROW(export_host("h", 1.0));
 }
 
 TEST_F(TraderTest, RemoveTypeWithSubtypesRejected) {
@@ -554,69 +547,6 @@ TEST_F(TraderTest, EvaluatorMayChangeTheMarketMidQuery) {
   EXPECT_EQ(trader_.offer_count(), 3u + static_cast<size_t>(exported.load()));
 }
 
-// ---- federation -----------------------------------------------------------
-
-TEST_F(TraderTest, FederatedQueryMergesRemoteOffers) {
-  auto orb2 = Orb::create();
-  Trader remote(orb2, {.name = "t2"});
-  ServiceTypeDef type;
-  type.name = "LoadService";
-  type.properties = {{"LoadAvg", "number", PropertyDef::Mode::Normal},
-                     {"Host", "string", PropertyDef::Mode::Normal}};
-  remote.types().add(type);
-  auto servant = FunctionServant::make("");
-  PropertyMap props;
-  props["Host"] = OfferedProperty(Value("remote-host"));
-  props["LoadAvg"] = OfferedProperty(Value(5.0));
-  remote.export_offer("LoadService", orb2->register_servant(servant), props);
-
-  export_host("local-host", 10.0);
-  trader_.add_link("to-t2", remote.lookup_ref());
-  const auto results = trader_.query("LoadService", "LoadAvg < 50");
-  ASSERT_EQ(results.size(), 2u);
-  EXPECT_EQ(results[0].properties.at("Host").as_string(), "local-host");
-  EXPECT_EQ(results[1].properties.at("Host").as_string(), "remote-host");
-}
-
-TEST_F(TraderTest, HopCountZeroStaysLocal) {
-  auto orb2 = Orb::create();
-  Trader remote(orb2, {.name = "t3"});
-  ServiceTypeDef type;
-  type.name = "LoadService";
-  remote.types().add(type);
-  auto servant = FunctionServant::make("");
-  remote.export_offer("LoadService", orb2->register_servant(servant), {});
-  trader_.add_link("to-t3", remote.lookup_ref());
-  export_host("local", 1.0);
-  LookupPolicies policies;
-  policies.hop_count = 0;
-  EXPECT_EQ(trader_.query("LoadService", "", "", {}, policies).size(), 1u);
-}
-
-TEST_F(TraderTest, LinkCyclesTerminate) {
-  auto orb2 = Orb::create();
-  Trader other(orb2, {.name = "t4"});
-  ServiceTypeDef type;
-  type.name = "LoadService";
-  type.properties = {{"LoadAvg", "number", PropertyDef::Mode::Normal},
-                     {"Host", "string", PropertyDef::Mode::Normal},
-                     {"Arch", "string", PropertyDef::Mode::Normal}};
-  other.types().add(type);
-  trader_.add_link("a", other.lookup_ref());
-  other.add_link("b", trader_.lookup_ref());
-  export_host("only", 1.0);
-  LookupPolicies policies;
-  policies.hop_count = 3;
-  const auto results = trader_.query("LoadService", "", "", {}, policies);
-  EXPECT_EQ(results.size(), 1u) << "cycle bounded by hop_count, offer deduplicated";
-}
-
-TEST_F(TraderTest, DeadLinkIsSkipped) {
-  trader_.add_link("dead", ObjectRef{"inproc://no-such-trader", "x", ""});
-  export_host("local", 1.0);
-  EXPECT_EQ(trader_.query("LoadService", "").size(), 1u);
-}
-
 // ---- remote access through servants -----------------------------------------
 
 TEST_F(TraderTest, RemoteClientRoundtrip) {
@@ -665,6 +595,27 @@ TEST_F(TraderTest, RemoteExportOfDynamicProperty) {
   EXPECT_DOUBLE_EQ(results[0].properties.at("LoadAvg").as_number(), 4.0);
 }
 
+TEST_F(TraderTest, HopCountIsOffTheWireAndIgnoredFromOlderPeers) {
+  const Value wire = Trader::policies_to_value(LookupPolicies{});
+  ASSERT_TRUE(wire.is_table());
+  EXPECT_TRUE(wire.as_table()->get(Value("hop_count")).is_nil());
+
+  // An older peer's policies table still carries hop_count.
+  export_host("local", 1.0);
+  const Value old_policies = Trader::policies_to_value(LookupPolicies{});
+  old_policies.as_table()->set(Value("hop_count"), Value(3.0));
+  auto client_orb = Orb::create();
+  const Value reply = client_orb->invoke(
+      trader_.lookup_ref(), "query",
+      {Value("LoadService"), Value(""), Value(""), Value(), old_policies});
+  ASSERT_TRUE(reply.is_table());
+  ASSERT_EQ(reply.as_table()->length(), 1);
+  EXPECT_EQ(Trader::offer_info_from_value(reply.as_table()->geti(1))
+                .properties.at("Host")
+                .as_string(),
+            "local");
+}
+
 // ---- Admin interface --------------------------------------------------
 
 TEST_F(TraderTest, AdminClampsReturnCard) {
@@ -704,25 +655,6 @@ TEST_F(TraderTest, AdminDisablesDynamicProperties) {
   trader_.set_admin(admin);
   EXPECT_EQ(trader_.query("LoadService", "LoadAvg > 0").size(), 0u);
   EXPECT_EQ(*calls, 0) << "globally disabled: no evalDP callbacks";
-}
-
-TEST_F(TraderTest, AdminClampsHopCount) {
-  auto orb2 = Orb::create();
-  Trader remote(orb2, {.name = "t-admin-remote"});
-  ServiceTypeDef type;
-  type.name = "LoadService";
-  remote.types().add(type);
-  auto servant = FunctionServant::make("");
-  remote.export_offer("LoadService", orb2->register_servant(servant), {});
-  trader_.add_link("r", remote.lookup_ref());
-  TraderAdminSettings admin;
-  admin.max_hop_count = 0;  // federation disabled
-  trader_.set_admin(admin);
-  export_host("local", 1.0);
-  LookupPolicies policies;
-  policies.hop_count = 5;
-  EXPECT_EQ(trader_.query("LoadService", "", "", {}, policies).size(), 1u)
-      << "remote offer not consulted";
 }
 
 TEST_F(TraderTest, DynamicEvalCounter) {
