@@ -2,8 +2,8 @@
 # Tier-1 verify, optionally under a sanitizer preset.
 #
 #   scripts/check.sh            # plain RelWithDebInfo build + ctest + bench JSON
-#                               # + short replica_brownout and adapt_churn
-#                               # benchmark runs
+#                               # + short replica_brownout, adapt_churn and
+#                               # rpc_mix benchmark runs
 #   scripts/check.sh tsan       # ThreadSanitizer build + ctest
 #   scripts/check.sh asan       # Address+UB sanitizer build + ctest
 #   scripts/check.sh all        # default, then tsan, then asan
@@ -206,6 +206,8 @@ EOF
 #   adapt_churn: the paper's adaptation loop; its checks cover outputs
 #     (replies from the bound host, no proxy left on a spiked host), the
 #     determinism self-test and the return of fds and threads.
+#   rpc_mix: the plain call path over TCP; it deep-compares every reply
+#     with what was sent, so it guards the wire codec's round trip.
 run_perfbench_smoke() {
   local workload="$1"
   echo "==> perfbench ${workload} smoke run"
@@ -223,6 +225,7 @@ EOF
 
 run_brownout_smoke() { run_perfbench_smoke replica_brownout; }
 run_churn_smoke() { run_perfbench_smoke adapt_churn; }
+run_rpc_mix_smoke() { run_perfbench_smoke rpc_mix; }
 
 # Extracts every R"LUMA(...)LUMA" block embedded in examples/ and tests/
 # sources and runs the Luma static analyzer over it (shell policy, full
@@ -318,6 +321,7 @@ case "${1:-default}" in
     run_overload_gate
     run_brownout_smoke
     run_churn_smoke
+    run_rpc_mix_smoke
     ;;
   tsan|asan)
     run_preset "$1"
@@ -337,6 +341,7 @@ case "${1:-default}" in
     run_overload_gate
     run_brownout_smoke
     run_churn_smoke
+    run_rpc_mix_smoke
     run_preset tsan
     run_preset asan
     ;;

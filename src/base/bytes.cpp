@@ -2,63 +2,12 @@
 
 namespace adapt {
 
-void ByteWriter::u32(uint32_t v) {
-  for (int i = 0; i < 4; ++i) buf_.push_back(static_cast<uint8_t>(v >> (8 * i)));
-}
-
-void ByteWriter::u64(uint64_t v) {
-  for (int i = 0; i < 8; ++i) buf_.push_back(static_cast<uint8_t>(v >> (8 * i)));
-}
-
-void ByteWriter::f64(double v) {
-  uint64_t bits = 0;
-  static_assert(sizeof(bits) == sizeof(v));
-  std::memcpy(&bits, &v, sizeof(bits));
-  u64(bits);
-}
-
-void ByteWriter::str(std::string_view s) {
-  u32(static_cast<uint32_t>(s.size()));
-  raw(s.data(), s.size());
-}
-
-void ByteWriter::raw(const void* data, size_t n) {
-  const auto* p = static_cast<const uint8_t*>(data);
-  buf_.insert(buf_.end(), p, p + n);
-}
-
 void ByteWriter::patch_u32(size_t pos, uint32_t v) {
   if (pos + 4 > buf_.size()) throw SerializationError("patch_u32 out of range");
   for (int i = 0; i < 4; ++i) buf_[pos + i] = static_cast<uint8_t>(v >> (8 * i));
 }
 
-uint8_t ByteReader::u8() {
-  need(1);
-  return data_[pos_++];
-}
-
-uint32_t ByteReader::u32() {
-  need(4);
-  uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) v |= static_cast<uint32_t>(data_[pos_ + i]) << (8 * i);
-  pos_ += 4;
-  return v;
-}
-
-uint64_t ByteReader::u64() {
-  need(8);
-  uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v |= static_cast<uint64_t>(data_[pos_ + i]) << (8 * i);
-  pos_ += 8;
-  return v;
-}
-
-double ByteReader::f64() {
-  const uint64_t bits = u64();
-  double v = 0;
-  std::memcpy(&v, &bits, sizeof(v));
-  return v;
-}
+void ByteReader::truncated() { throw SerializationError("truncated message"); }
 
 std::string ByteReader::str() {
   const uint32_t n = u32();

@@ -165,6 +165,11 @@ TableKey TableKey::from_value(const Value& v) {
   }
 }
 
+TableKey TableKey::from_value(Value&& v) {
+  if (auto* s = std::get_if<std::string>(&v.v_)) return TableKey(std::move(*s));
+  return from_value(static_cast<const Value&>(v));
+}
+
 Value TableKey::to_value() const {
   if (std::holds_alternative<bool>(v_)) return Value(std::get<bool>(v_));
   if (std::holds_alternative<int64_t>(v_)) return Value(static_cast<double>(std::get<int64_t>(v_)));
@@ -183,20 +188,19 @@ Value Table::geti(int64_t index) const {
   return it == entries_.end() ? Value() : it->second;
 }
 
-void Table::set(const Value& key, Value v) {
-  const TableKey k = TableKey::from_value(key);
-  if (v.is_nil()) {
-    entries_.erase(k);
-  } else {
-    entries_.insert_or_assign(k, std::move(v));
-  }
+void Table::set(const Value& key, Value v) { assign(TableKey::from_value(key), std::move(v)); }
+
+void Table::set(Value&& key, Value v) {
+  assign(TableKey::from_value(std::move(key)), std::move(v));
 }
 
-void Table::seti(int64_t index, Value v) {
+void Table::seti(int64_t index, Value v) { assign(TableKey(index), std::move(v)); }
+
+void Table::assign(TableKey key, Value v) {
   if (v.is_nil()) {
-    entries_.erase(TableKey(index));
+    entries_.erase(key);
   } else {
-    entries_.insert_or_assign(TableKey(index), std::move(v));
+    entries_.insert_or_assign(std::move(key), std::move(v));
   }
 }
 

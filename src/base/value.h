@@ -82,6 +82,7 @@ class Value {
   friend bool operator!=(const Value& a, const Value& b) { return !(a == b); }
 
  private:
+  friend class TableKey;  // moves a string value into a key
   std::variant<std::monostate, bool, double, std::string, TablePtr, CallablePtr, ObjectRef> v_;
 };
 
@@ -97,11 +98,19 @@ class TableKey {
 
   /// Converts a Value to a key; throws TypeError for nil/table/function keys.
   static TableKey from_value(const Value& v);
+  /// Same, moving a string value's characters into the key.
+  static TableKey from_value(Value&& v);
 
   [[nodiscard]] Value to_value() const;
+  [[nodiscard]] bool is_bool() const { return std::holds_alternative<bool>(v_); }
   [[nodiscard]] bool is_int() const { return std::holds_alternative<int64_t>(v_); }
   [[nodiscard]] bool is_string() const { return std::holds_alternative<std::string>(v_); }
+  [[nodiscard]] bool as_bool() const { return std::get<bool>(v_); }
   [[nodiscard]] int64_t as_int() const { return std::get<int64_t>(v_); }
+  /// The key as a number: integer keys widen, non-integral ones as stored.
+  [[nodiscard]] double as_number() const {
+    return is_int() ? static_cast<double>(std::get<int64_t>(v_)) : std::get<double>(v_);
+  }
   [[nodiscard]] const std::string& as_string() const { return std::get<std::string>(v_); }
 
   friend bool operator<(const TableKey& a, const TableKey& b) { return a.v_ < b.v_; }
@@ -124,6 +133,8 @@ class Table {
 
   /// Setting a nil value erases the entry, as in Lua.
   void set(const Value& key, Value v);
+  /// Same, moving a string key into the table instead of copying it.
+  void set(Value&& key, Value v);
   void seti(int64_t index, Value v);
 
   /// Appends at index length()+1 (Lua table.insert analog).
@@ -149,6 +160,9 @@ class Table {
   void set_metatable(TablePtr mt) { metatable_ = std::move(mt); }
 
  private:
+  /// set/seti after key conversion: nil erases, anything else stores.
+  void assign(TableKey key, Value v);
+
   std::map<TableKey, Value> entries_;
   TablePtr metatable_;
 };

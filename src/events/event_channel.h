@@ -68,7 +68,7 @@ struct SubscribeOptions {
   size_t queue_capacity = 256;
   Backpressure policy = Backpressure::DropOldest;
   /// Event ids this subscriber wants; empty = every event on the channel.
-  std::vector<std::string> events;
+  std::vector<std::string> events = {};
   /// Replay the channel's last value for each matching event id at
   /// subscribe time, so late joiners start from known state.
   bool replay_last = false;

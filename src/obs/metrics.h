@@ -4,8 +4,10 @@
 // Instruments are created on first use and live for the registry's lifetime,
 // so call sites may cache the returned reference and update it with plain
 // relaxed atomics — no lock on the hot path. Histograms bucket values by
-// bit width (power-of-two buckets), which keeps `record` at two fetch_adds
-// and yields p50/p95/p99 estimates within one octave, plenty for spotting
+// bit width (power-of-two buckets), which keeps `record` at three
+// fetch_adds (bucket, count, sum) plus the min/max compare-and-swap loops
+// (which exit after one load unless the value sets a new extreme), and
+// yields p50/p95/p99 estimates within one octave, plenty for spotting
 // latency regressions and for adaptation strategies comparing providers.
 //
 // OrbStatsCounters (src/orb/stats.h) is re-expressed on top of this

@@ -1,6 +1,7 @@
 #include "obs/trace.h"
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <random>
 #include <type_traits>
@@ -43,21 +44,30 @@ void hex16(std::string& out, uint64_t v) {
   out.append(buf, 16);
 }
 
+/// Hex digit value of every byte, 0xFF for a non-digit: one load per
+/// character instead of a chain of range checks.
+constexpr std::array<uint8_t, 256> kHexValue = [] {
+  std::array<uint8_t, 256> table{};
+  for (auto& v : table) v = 0xFF;
+  for (int c = 0; c < 10; ++c) table['0' + c] = static_cast<uint8_t>(c);
+  for (int c = 0; c < 6; ++c) {
+    table['a' + c] = static_cast<uint8_t>(10 + c);
+    table['A' + c] = static_cast<uint8_t>(10 + c);
+  }
+  return table;
+}();
+
 bool parse_hex(std::string_view s, uint64_t& out) {
   if (s.size() != 16) return false;
   uint64_t v = 0;
+  uint8_t bad = 0;
   for (const char c : s) {
-    v <<= 4;
-    if (c >= '0' && c <= '9') {
-      v |= static_cast<uint64_t>(c - '0');
-    } else if (c >= 'a' && c <= 'f') {
-      v |= static_cast<uint64_t>(c - 'a' + 10);
-    } else if (c >= 'A' && c <= 'F') {
-      v |= static_cast<uint64_t>(c - 'A' + 10);
-    } else {
-      return false;
-    }
+    const uint8_t digit = kHexValue[static_cast<uint8_t>(c)];
+    bad |= digit;
+    v = (v << 4) | (digit & 0xF);
   }
+  // Any non-digit contributes 0xFF, which no run of digits (0..15) can.
+  if (bad & 0xF0) return false;
   out = v;
   return true;
 }
@@ -306,10 +316,6 @@ ScopedSpan::ScopedSpan(std::string name, SpanOptions options)
   span_.span_id = ctx_.span_id;
   span_.name = std::move(name);
   span_.kind = options.kind;
-  // ORB spans carry one annotation, higher layers at most a couple; one
-  // up-front grow beats a realloc (and string moves) per annotate() on the
-  // RPC hot path.
-  span_.annotations.reserve(2);
   span_.start_ns = steady_ns();
 
   if (!options.detached) {
@@ -322,6 +328,9 @@ ScopedSpan::~ScopedSpan() { finish(); }
 
 void ScopedSpan::annotate(std::string key, std::string value) {
   if (!active_ || finished_) return;
+  // ORB spans carry one annotation, higher layers at most a couple: the
+  // first annotate sizes for two, and a span without any allocates nothing.
+  if (span_.annotations.empty()) span_.annotations.reserve(2);
   span_.annotations.emplace_back(std::move(key), std::move(value));
 }
 

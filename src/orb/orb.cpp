@@ -1,6 +1,7 @@
 #include "orb/orb.h"
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <random>
 #include <thread>
@@ -24,8 +25,6 @@ uint64_t steady_ns() {
                                    std::chrono::steady_clock::now().time_since_epoch())
                                    .count());
 }
-
-/// Wire metadata key carrying the trace context (see obs::TraceContext).
 
 /// Backoff before retry number `retry_index` (0-based), with jitter.
 double backoff_delay(const RetryPolicy& policy, int retry_index) {
@@ -214,17 +213,16 @@ ReplyMessage Orb::dispatch_request(const RequestMessage& req) {
   // clients may re-issue even non-idempotent operations. The shed path is
   // deliberately lean (no span, no servant lookup) — rejecting must stay
   // orders of magnitude cheaper than executing.
-  const double entry = steady_now();
-  const bool critical = req.critical || is_critical(req.operation);
   bool hold_slot = false;
+  double queued_for = 0.0;  // seconds spent waiting for admission
   if (admission_->enabled()) {
+    const double entry = steady_now();
+    const bool critical = req.critical || is_critical(req.operation);
     const auto decision = admission_->acquire(critical, req.deadline);
-    if (admission_wait_ns_) {
-      admission_wait_ns_->record(
-          static_cast<uint64_t>((steady_now() - entry) * 1e9));
-      admission_in_flight_gauge_->set(static_cast<double>(admission_->in_flight()));
-      admission_queued_gauge_->set(static_cast<double>(admission_->queued()));
-    }
+    queued_for = steady_now() - entry;
+    admission_wait_ns_->record(static_cast<uint64_t>(queued_for * 1e9));
+    admission_in_flight_gauge_->set(static_cast<double>(admission_->in_flight()));
+    admission_queued_gauge_->set(static_cast<double>(admission_->queued()));
     if (decision == AdmissionController::Decision::Shed) {
       stats_->add_request_shed();
       ReplyMessage rep;
@@ -256,9 +254,9 @@ ReplyMessage Orb::dispatch_request(const RequestMessage& req) {
 
   // Expired on arrival (or while queued, re-checked after the wait): the
   // caller's propagated budget is already gone, so executing the servant
-  // would only produce a reply nobody reads.
-  const double dispatch_remaining =
-      req.deadline > 0.0 ? req.deadline - (steady_now() - entry) : 0.0;
+  // would only produce a reply nobody reads. Admission is the only wait
+  // since arrival, so its clock reads are the only ones needed.
+  const double dispatch_remaining = req.deadline > 0.0 ? req.deadline - queued_for : 0.0;
   if (req.deadline > 0.0 && dispatch_remaining <= 0.0) {
     stats_->add_request_expired();
     ReplyMessage rep;
@@ -427,9 +425,10 @@ bool Orb::ping(const ObjectRef& ref) {
   }
 }
 
-Value Orb::invoke_tcp_once(const ObjectRef& ref, const RequestMessage& req, bool oneway,
-                           double timeout, bool idempotent) {
-  const Bytes encoded = encode_request(req);
+Value Orb::invoke_tcp_once(const ObjectRef& ref, const RequestMessage& req,
+                           const ValueList& args, bool oneway, double timeout,
+                           bool idempotent) {
+  const Bytes encoded = encode_request(req, args);
   stats_->add_request();
   if (oneway) {
     pool_->send(ref.endpoint, encoded, timeout);
@@ -492,12 +491,12 @@ Value Orb::invoke_impl(const ObjectRef& ref, const std::string& operation,
 Value Orb::invoke_traced(const ObjectRef& ref, const std::string& operation,
                          const ValueList& args, bool oneway, const InvokeOptions& options,
                          obs::ScopedSpan& span) {
+  // The message header only: the caller's `args` are encoded in place.
   RequestMessage req;
   req.request_id = next_request_id_++;
   req.oneway = oneway;
   req.object_id = ref.object_id;
   req.operation = operation;
-  req.args = args;
 
   // Local dispatch — our own endpoint, either name.
   const bool is_self =
@@ -549,7 +548,7 @@ Value Orb::invoke_traced(const ObjectRef& ref, const std::string& operation,
     // and an Overloaded rejection surfaces directly (the caller shares the
     // overloaded process; re-queueing locally would not help).
     req.deadline = budget;
-    const Bytes encoded = encode_request(req);
+    const Bytes encoded = encode_request(req, args);
     const RequestMessage decoded = decode_request(encoded);
     stats_->add_request();
     const ReplyMessage rep = target->dispatch_request(decoded);
@@ -607,7 +606,7 @@ Value Orb::invoke_traced(const ObjectRef& ref, const std::string& operation,
       // deadline is re-stamped per attempt with what is actually left.
       if (attempt > 0) req.request_id = next_request_id_++;
       if (emit_context) req.deadline = remaining;
-      return invoke_tcp_once(ref, req, oneway, remaining, idempotent);
+      return invoke_tcp_once(ref, req, args, oneway, remaining, idempotent);
     } catch (const OrbError& e) {
       if (dynamic_cast<const TimeoutError*>(&e) != nullptr) {
         stats_->add_timeout();
@@ -628,9 +627,10 @@ Value Orb::invoke_traced(const ObjectRef& ref, const std::string& operation,
 }
 
 bool Orb::is_critical(const std::string& operation) {
-  static const std::set<std::string> kCriticalOperations = {
+  static constexpr std::array<std::string_view, 7> kCriticalOperations = {
       "_ping", "_interface", "_stats", "refresh", "resolve", "query", "list"};
-  return kCriticalOperations.count(operation) > 0;
+  return std::find(kCriticalOperations.begin(), kCriticalOperations.end(), operation) !=
+         kCriticalOperations.end();
 }
 
 bool Orb::try_spend_retry_token(const std::string& endpoint) {

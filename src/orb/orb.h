@@ -84,7 +84,7 @@ struct OrbConfig {
   bool validate_interfaces = true;
 
   /// Share an interface repository across ORBs; a fresh one when null.
-  std::shared_ptr<InterfaceRepository> interfaces;
+  std::shared_ptr<InterfaceRepository> interfaces = {};
 
   /// Operations safe to re-execute; retried per RetryPolicy{} (or the
   /// InvokeOptions override) when a transport failure strikes. Builtins
@@ -124,7 +124,7 @@ struct OrbConfig {
   /// Destination ring for this ORB's spans; the process-wide
   /// obs::default_tracer() when null (so one query API sees every ORB of an
   /// in-process deployment). Disable via tracer->set_enabled(false).
-  std::shared_ptr<obs::Tracer> tracer;
+  std::shared_ptr<obs::Tracer> tracer = {};
 
   /// Emit the trace-context tail on outgoing *TCP* requests. Opt-in because
   /// a pre-context (v1) peer rejects frames carrying the tail ("trailing
@@ -266,11 +266,13 @@ class Orb : public std::enable_shared_from_this<Orb> {
   Value invoke_traced(const ObjectRef& ref, const std::string& operation,
                       const ValueList& args, bool oneway, const InvokeOptions& options,
                       obs::ScopedSpan& span);
-  /// One TCP round trip with the given remaining budget. `idempotent`
-  /// lets the pool redial a stale connection even after the request was
-  /// fully written (re-execution is safe for idempotent operations only).
-  Value invoke_tcp_once(const ObjectRef& ref, const RequestMessage& req, bool oneway,
-                        double timeout, bool idempotent);
+  /// One TCP round trip of `req` carrying `args`, with the given remaining
+  /// budget. `idempotent` lets the pool redial a stale connection even after
+  /// the request was fully written (re-execution is safe for idempotent
+  /// operations only).
+  Value invoke_tcp_once(const ObjectRef& ref, const RequestMessage& req,
+                        const ValueList& args, bool oneway, double timeout,
+                        bool idempotent);
   void validate(const ObjectRef& ref, const std::string& operation) const;
 
   /// Server side: executes a decoded request against the local adapter.

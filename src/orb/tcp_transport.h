@@ -3,9 +3,10 @@
 // Server side: TcpListener serves connections on an epoll reactor (see
 // orb/reactor.h) — a fixed worker pool multiplexed over one epoll instance
 // instead of one OS thread per connection. Requests on a connection are
-// still processed in order (EPOLLONESHOT hands each connection to exactly
-// one worker at a time), closed connections release their fd immediately,
-// and accept failures back off instead of killing the accept path.
+// still processed in order (connections are level-triggered, and a
+// per-connection serve lock lets only one worker at a time reassemble and
+// answer its frames), closed connections release their fd immediately, and
+// accept failures back off instead of killing the accept path.
 // Client side: TcpConnectionPool keeps idle connections per endpoint
 // (bounded per endpoint, age-reaped) and checks them out for the duration
 // of one call. Checkout probes each pooled fd with a non-blocking peek, so

@@ -1,6 +1,7 @@
 #include "orb/wire.h"
 
-#include <cstdio>
+#include <algorithm>
+#include <charconv>
 #include <cstdlib>
 
 #include "orb/errors.h"
@@ -18,6 +19,20 @@ enum class ValueTag : uint8_t {
   Table = 5,
   ObjRef = 6,
 };
+
+/// A table key, written exactly as encode_value writes key.to_value() but
+/// without building that Value: integer keys travel as numbers.
+void encode_key(ByteWriter& w, const TableKey& key) {
+  if (key.is_string()) {
+    w.u8(static_cast<uint8_t>(ValueTag::String));
+    w.str(key.as_string());
+  } else if (key.is_bool()) {
+    w.u8(static_cast<uint8_t>(key.as_bool() ? ValueTag::True : ValueTag::False));
+  } else {
+    w.u8(static_cast<uint8_t>(ValueTag::Number));
+    w.f64(key.as_number());
+  }
+}
 
 void encode_value_rec(ByteWriter& w, const Value& v, int depth) {
   if (depth > kMaxValueDepth) {
@@ -43,7 +58,7 @@ void encode_value_rec(ByteWriter& w, const Value& v, int depth) {
       const Table& t = *v.as_table();
       w.u32(static_cast<uint32_t>(t.size()));
       for (const auto& [key, val] : t) {
-        encode_value_rec(w, key.to_value(), depth + 1);
+        encode_key(w, key);
         encode_value_rec(w, val, depth + 1);
       }
       return;
@@ -81,7 +96,7 @@ Value decode_value_rec(ByteReader& r, int depth) {
       for (uint32_t i = 0; i < n; ++i) {
         Value key = decode_value_rec(r, depth + 1);
         Value val = decode_value_rec(r, depth + 1);
-        t->set(key, std::move(val));
+        t->set(std::move(key), std::move(val));
       }
       return Value(std::move(t));
     }
@@ -102,13 +117,56 @@ void encode_value(ByteWriter& w, const Value& v) { encode_value_rec(w, v, 0); }
 
 Value decode_value(ByteReader& r) { return decode_value_rec(r, 0); }
 
+namespace {
+
+/// The deadline entry's value as std::strtod reads it (0 when it reads no
+/// number). What write_deadline writes — a plain decimal that starts with
+/// a digit — is read by std::from_chars, which agrees with strtod on every
+/// string it consumes whole; anything else (a sign, blanks, hex, inf/nan, a
+/// trailing suffix) takes strtod itself, so a peer's odd text is treated
+/// exactly as before.
+double parse_deadline(const std::string& text) {
+  if (!text.empty() && text[0] >= '0' && text[0] <= '9') {
+    double secs = 0.0;
+    const char* last = text.data() + text.size();
+    const auto [ptr, ec] = std::from_chars(text.data(), last, secs);
+    if (ec == std::errc() && ptr == last) return secs;
+  }
+  char* end = nullptr;
+  const double secs = std::strtod(text.c_str(), &end);
+  return end == text.c_str() ? 0.0 : secs;
+}
+
+/// Decimal text of the deadline entry, the same characters as printf's
+/// "%.9g" (to_chars' general format with a precision is specified as that
+/// conversion): ~1ns resolution at second scale, plenty for a queueing
+/// budget.
+void write_deadline(ByteWriter& w, double secs) {
+  char buf[32];
+  const auto [end, ec] =
+      std::to_chars(buf, buf + sizeof(buf), secs, std::chars_format::general, 9);
+  w.str(std::string_view(buf, static_cast<size_t>(end - buf)));
+}
+
+/// Starting buffer size for an encoded message: the fixed fields plus a
+/// shallow guess at the values, so a typical call fits in one allocation.
+/// Deeper values grow the buffer as needed.
+size_t size_hint(const Value& v) {
+  switch (v.type()) {
+    case Value::Type::String: return 5 + v.as_string().size();
+    case Value::Type::Table: return 5 + 24 * v.as_table()->size();
+    default: return 9;
+  }
+}
+
+}  // namespace
+
 void RequestMessage::set_context(std::string_view key, std::string value) {
   if (key == kTraceparentKey) {
     traceparent = std::move(value);
   } else if (key == kDeadlineKey) {
-    char* end = nullptr;
-    const double secs = std::strtod(value.c_str(), &end);
-    if (end != value.c_str() && secs > 0.0 && secs < 1e12) deadline = secs;
+    const double secs = parse_deadline(value);
+    if (secs > 0.0 && secs < 1e12) deadline = secs;
   } else if (key == kCriticalKey) {
     critical = value == "1" || value == "true";
   } else {
@@ -116,27 +174,20 @@ void RequestMessage::set_context(std::string_view key, std::string value) {
   }
 }
 
-namespace {
+Bytes encode_request(const RequestMessage& req) { return encode_request(req, req.args); }
 
-/// Shortest round-trippable decimal for the deadline entry. %.9g keeps ~1ns
-/// resolution at second scale, plenty for a queueing budget.
-std::string format_deadline(double secs) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.9g", secs);
-  return buf;
-}
-
-}  // namespace
-
-Bytes encode_request(const RequestMessage& req) {
-  ByteWriter w;
+Bytes encode_request(const RequestMessage& req, const ValueList& args) {
+  size_t hint = 1 + 8 + 1 + 4 + req.object_id.size() + 4 + req.operation.size() + 4;
+  for (const Value& arg : args) hint += size_hint(arg);
+  if (req.has_context()) hint += 128 + req.traceparent.size();
+  ByteWriter w(hint);
   w.u8(static_cast<uint8_t>(MsgType::Request));
   w.u64(req.request_id);
   w.u8(req.oneway ? 1 : 0);
   w.str(req.object_id);
   w.str(req.operation);
-  w.u32(static_cast<uint32_t>(req.args.size()));
-  for (const Value& arg : req.args) encode_value(w, arg);
+  w.u32(static_cast<uint32_t>(args.size()));
+  for (const Value& arg : args) encode_value(w, arg);
   if (req.has_context()) {
     // v2 optional tail (see RequestMessage::context). Omitted when empty so
     // context-free requests stay bit-identical to the v1 encoding.
@@ -151,7 +202,7 @@ Bytes encode_request(const RequestMessage& req) {
     }
     if (req.deadline > 0.0) {
       w.str(RequestMessage::kDeadlineKey);
-      w.str(format_deadline(req.deadline));
+      write_deadline(w, req.deadline);
     }
     if (req.critical) {
       w.str(RequestMessage::kCriticalKey);
@@ -166,7 +217,7 @@ Bytes encode_request(const RequestMessage& req) {
 }
 
 Bytes encode_reply(const ReplyMessage& rep) {
-  ByteWriter w;
+  ByteWriter w(1 + 8 + 1 + size_hint(rep.result));
   w.u8(static_cast<uint8_t>(MsgType::Reply));
   w.u64(rep.request_id);
   w.u8(static_cast<uint8_t>(rep.status));
@@ -194,7 +245,10 @@ RequestMessage decode_request(const Bytes& payload) {
   req.object_id = r.str();
   req.operation = r.str();
   const uint32_t argc = r.u32();
-  req.args.reserve(argc);
+  // Every encoded value takes at least one byte, so a count beyond what is
+  // left of the frame is a lie the loop below reports as truncation; never
+  // let it size an allocation.
+  req.args.reserve(std::min<size_t>(argc, r.remaining()));
   for (uint32_t i = 0; i < argc; ++i) req.args.push_back(decode_value(r));
   if (!r.done()) {
     // v2 optional tail; a v1 frame ends right after the args.

@@ -39,7 +39,7 @@ struct RequestMessage {
   bool oneway = false;
   std::string object_id;
   std::string operation;
-  ValueList args;
+  ValueList args = {};
   /// v2 extension: out-of-band request metadata. Encoded only when non-empty,
   /// as an optional key/value tail after the args. Compatibility is
   /// one-directional: the v2 decoder accepts v1 frames (no tail) unchanged
@@ -51,7 +51,7 @@ struct RequestMessage {
   /// a (key, value) string pair; in memory the one key every traced request
   /// carries ("traceparent") has a dedicated field so the per-invocation hot
   /// path never allocates the vector.
-  std::string traceparent;
+  std::string traceparent = {};
   /// Caller's remaining deadline budget in seconds at send time (gRPC
   /// grpc-timeout analog). 0 means "no deadline propagated". Carried on the
   /// wire as the context entry "deadline" (decimal seconds) so pre-deadline
@@ -64,7 +64,7 @@ struct RequestMessage {
   bool critical = false;
   /// Context entries other than the dedicated fields above (rare; reserved
   /// for future keys). Same wire representation, just generic.
-  std::vector<std::pair<std::string, std::string>> context;
+  std::vector<std::pair<std::string, std::string>> context = {};
 
   [[nodiscard]] bool has_context() const {
     return !traceparent.empty() || deadline > 0.0 || critical || !context.empty();
@@ -99,6 +99,9 @@ struct ReplyMessage {
 };
 
 Bytes encode_request(const RequestMessage& req);
+/// Encodes `req` with `args` in place of req.args, so a caller can send its
+/// own argument list without copying it into the message first.
+Bytes encode_request(const RequestMessage& req, const ValueList& args);
 Bytes encode_reply(const ReplyMessage& rep);
 
 /// Decodes a message payload (without the u32 frame-length prefix).

@@ -41,9 +41,9 @@ struct PropertyDef {
 struct ServiceTypeDef {
   std::string name;
   /// Interface-repository name offers must implement.
-  std::string interface;
-  std::vector<PropertyDef> properties;
-  std::vector<std::string> supertypes;
+  std::string interface = {};
+  std::vector<PropertyDef> properties = {};
+  std::vector<std::string> supertypes = {};
 };
 
 class ServiceTypeRepository {

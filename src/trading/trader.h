@@ -104,7 +104,7 @@ struct TraderConfig {
   std::string name = "trader";
   uint32_t rng_seed = 1234;  // behind the "random" preference
   /// Clock for offer leases; RealClock when null.
-  ClockPtr clock;
+  ClockPtr clock = {};
 };
 
 class Trader {

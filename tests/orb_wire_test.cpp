@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdio>
+#include <cstdlib>
 #include <random>
 
 #include "orb/errors.h"
@@ -207,6 +210,137 @@ TEST(WireMessageTest, TrailingBytesRejected) {
 
 TEST(WireMessageTest, EmptyPayloadRejected) {
   EXPECT_THROW((void)peek_type(Bytes{}), SerializationError);
+}
+
+TEST(WireMessageTest, HugeArgCountIsTruncationNotAllocation) {
+  // A 22-byte request frame whose arg count claims billions of values. The
+  // decoder must report a truncated message, not size an allocation from
+  // the count (which threw std::bad_alloc, or reserved gigabytes first).
+  for (const uint32_t argc : {0x7FFFFFFFu, 0xFFFFFFFFu}) {
+    ByteWriter w;
+    w.u8(static_cast<uint8_t>(MsgType::Request));
+    w.u64(1);
+    w.u8(0);
+    w.str("");
+    w.str("");
+    w.u32(argc);
+    EXPECT_THROW((void)decode_request(w.bytes()), SerializationError) << "argc " << argc;
+  }
+}
+
+// ---- wire pinning: these bytes and texts are the protocol ------------------
+
+std::string to_hex(const Bytes& bytes) {
+  static const char* digits = "0123456789abcdef";
+  std::string out;
+  for (const uint8_t b : bytes) {
+    out.push_back(digits[b >> 4]);
+    out.push_back(digits[b & 0xF]);
+  }
+  return out;
+}
+
+TEST(WireGoldenTest, ContextFreeRequestIsV1) {
+  RequestMessage req;
+  req.request_id = 7;
+  req.object_id = "obj-1";
+  req.operation = "evalDP";
+  req.args = {Value("LoadAvg"), Value(2)};
+  EXPECT_EQ(to_hex(encode_request(req)),
+            "01070000000000000000050000006f626a2d31060000006576616c4450020000"
+            "0004070000004c6f6164417667030000000000000040");
+  // The ORB sends the caller's argument list without copying it into the
+  // message: same bytes.
+  RequestMessage header = req;
+  header.args.clear();
+  EXPECT_EQ(encode_request(header, req.args), encode_request(req));
+}
+
+TEST(WireGoldenTest, RequestWithContextTail) {
+  RequestMessage req;
+  req.request_id = 0x0102030405060708ull;
+  req.object_id = "monitor-1";
+  req.operation = "getvalue";
+  req.args = {Value(true)};
+  req.traceparent = "0123456789abcdef0123456789abcdef-00f067aa0ba902b7";
+  req.deadline = 0.25;
+  req.critical = true;
+  req.context = {{"tenant", "blue"}};
+  const Bytes bytes = encode_request(req);
+  EXPECT_EQ(to_hex(bytes),
+            "01080706050403020100090000006d6f6e69746f722d31080000006765747661"
+            "6c75650100000002040000000b0000007472616365706172656e743100000030"
+            "313233343536373839616263646566303132333435363738396162636465662d"
+            "3030663036376161306261393032623708000000646561646c696e6504000000"
+            "302e323508000000637269746963616c01000000310600000074656e616e7404"
+            "000000626c7565");
+  const RequestMessage out = decode_request(bytes);
+  EXPECT_EQ(out.traceparent, req.traceparent);
+  EXPECT_EQ(out.deadline, 0.25);
+  EXPECT_TRUE(out.critical);
+  EXPECT_EQ(out.context, req.context);
+}
+
+TEST(WireGoldenTest, ReplyWithNestedTableOfEveryKeyType) {
+  auto inner = Table::make();
+  inner->set(Value("deep"), Value(true));
+  auto t = Table::make();
+  t->set(Value("name"), Value(inner));
+  t->set(Value(2.5), Value(false));
+  t->seti(1, Value("one"));
+  t->set(Value(true), Value(-3.5));
+  ReplyMessage rep;
+  rep.request_id = 9;
+  rep.result = Value(t);
+  const Bytes bytes = encode_reply(rep);
+  // Keys in table order: bool, integer, non-integral number, string.
+  EXPECT_EQ(to_hex(bytes),
+            "02090000000000000000050400000002030000000000000cc003000000000000"
+            "f03f04030000006f6e650300000000000004400104040000006e616d65050100"
+            "000004040000006465657002");
+  EXPECT_TRUE(deep_equal(decode_reply(bytes).result, Value(t)));
+}
+
+TEST(WireGoldenTest, DeadlineTextIsPrintfG9) {
+  std::vector<double> values = {1e-9, 1e-5, 1e-4, 0.1, 0.25, 1.0 / 3.0, 1.0, 9.999999999,
+                                10.0, 123456789.0, 1234567890.0, 99999.99995, 5e11};
+  std::mt19937_64 rng(20021);
+  std::uniform_real_distribution<double> exponent(-9.0, 11.5);
+  std::uniform_int_distribution<int> integer(1, 100000);
+  for (int i = 0; i < 20000; ++i) {
+    values.push_back(std::pow(10.0, exponent(rng)));
+    values.push_back(static_cast<double>(integer(rng)) / 1000.0);
+  }
+  for (const double secs : values) {
+    char expected[40];
+    std::snprintf(expected, sizeof(expected), "%.9g", secs);
+    RequestMessage req;
+    req.deadline = secs;
+    const Bytes bytes = encode_request(req);
+    // The entry's text is everything after the fixed 42-byte prefix of a
+    // request whose only field is the deadline.
+    constexpr size_t kPrefix = 1 + 8 + 1 + 4 + 4 + 4 + 4 + (4 + 8) + 4;
+    ASSERT_EQ(std::string(bytes.begin() + kPrefix, bytes.end()), expected)
+        << "deadline " << secs;
+    // And the receiver reads back what strtod makes of that text.
+    ASSERT_EQ(decode_request(bytes).deadline, std::strtod(expected, nullptr))
+        << "deadline " << secs;
+  }
+}
+
+TEST(WireGoldenTest, DeadlineDecodeReadsLikeStrtod) {
+  // Each text as a peer might send it; 0 means "ignored, no deadline".
+  const std::vector<std::pair<std::string, double>> cases = {
+      {"0.25", 0.25}, {"+5", 5.0},  {" 5", 5.0},  {"5abc", 5.0}, {"0x1p3", 8.0},
+      {"nan", 0.0},   {"inf", 0.0}, {"-1", 0.0},  {"1e12", 0.0}, {"", 0.0},
+      {"abc", 0.0},   {"0", 0.0},   {"1e-3", 0.001}, {"999999999999.5", 999999999999.5}};
+  for (const auto& [text, expected] : cases) {
+    RequestMessage req;
+    req.context = {{std::string(RequestMessage::kDeadlineKey), text}};
+    const RequestMessage out = decode_request(encode_request(req));
+    EXPECT_EQ(out.deadline, expected) << '"' << text << '"';
+    EXPECT_TRUE(out.context.empty()) << '"' << text << '"';
+  }
 }
 
 }  // namespace
