@@ -555,8 +555,10 @@ Value ReplicaSet::invoke_hedged(const orb::OrbPtr& orb, const ReplicaPtr& primar
 
   // Both attempts capture orb/replica/args by value — never `this` — so a
   // parked loser can outlive the calling request without touching the set.
-  auto fut1 = std::async(std::launch::async, [orb, primary, operation, args] {
-    return primary->invoke(orb, operation, args);
+  // Each runs under the caller's trace context and dispatch deadline.
+  const orb::CallerContext caller;
+  auto fut1 = std::async(std::launch::async, [orb, primary, operation, args, caller] {
+    return caller.run([&] { return primary->invoke(orb, operation, args); });
   });
   if (fut1.wait_for(duration<double>(delay)) == std::future_status::ready) {
     return fut1.get();
@@ -574,8 +576,8 @@ Value ReplicaSet::invoke_hedged(const orb::OrbPtr& orb, const ReplicaPtr& primar
   }
 
   obs::metrics().counter("lb.hedge.fired").add();
-  auto fut2 = std::async(std::launch::async, [orb, second, operation, args] {
-    return second->invoke(orb, operation, args);
+  auto fut2 = std::async(std::launch::async, [orb, second, operation, args, caller] {
+    return caller.run([&] { return second->invoke(orb, operation, args); });
   });
 
   // First completion wins; a winner that completed with an error falls back

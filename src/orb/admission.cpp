@@ -228,4 +228,14 @@ std::optional<double> current_dispatch_remaining() {
   return g_dispatch_expiry - steady_now();
 }
 
+CallerContext::CallerContext()
+    : trace_(obs::current_context()), expiry_(g_dispatch_expiry) {}
+
+CallerContext::Installed::Installed(const CallerContext& caller)
+    : trace_(caller.trace_), prev_expiry_(g_dispatch_expiry) {
+  g_dispatch_expiry = caller.expiry_;
+}
+
+CallerContext::Installed::~Installed() { g_dispatch_expiry = prev_expiry_; }
+
 }  // namespace adapt::orb

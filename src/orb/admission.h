@@ -18,7 +18,8 @@
 //    server brown-out cannot be amplified into a retry storm.
 //  - DispatchDeadlineScope: thread-local remaining-budget bookkeeping so
 //    nested invokes made from inside a dispatch inherit the caller's
-//    shrunken deadline automatically.
+//    shrunken deadline automatically; CallerContext carries it (and the
+//    trace context) onto helper threads.
 #pragma once
 
 #include <condition_variable>
@@ -29,6 +30,9 @@
 #include <optional>
 #include <string>
 #include <unordered_map>
+#include <utility>
+
+#include "obs/trace.h"
 
 namespace adapt::orb {
 
@@ -181,5 +185,36 @@ class DispatchDeadlineScope {
 /// nullopt when no deadline-carrying dispatch is in scope. Zero or negative
 /// when the budget has already lapsed.
 std::optional<double> current_dispatch_remaining();
+
+/// The calling thread's trace context and dispatch deadline, captured where
+/// work is handed to a helper thread (std::async) and installed there by
+/// run(): the work's spans join the caller's trace, and its invokes get only
+/// what is left of the caller's budget — none if it has lapsed.
+class CallerContext {
+ public:
+  CallerContext();
+
+  template <typename Fn>
+  decltype(auto) run(Fn&& fn) const {
+    const Installed installed(*this);
+    return std::forward<Fn>(fn)();
+  }
+
+ private:
+  class Installed {
+   public:
+    explicit Installed(const CallerContext& caller);
+    ~Installed();
+    Installed(const Installed&) = delete;
+    Installed& operator=(const Installed&) = delete;
+
+   private:
+    obs::ContextGuard trace_;
+    double prev_expiry_;
+  };
+
+  obs::TraceContext trace_;
+  double expiry_;  // absolute steady-clock expiry; 0 = no deadline
+};
 
 }  // namespace adapt::orb

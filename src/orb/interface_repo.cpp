@@ -173,22 +173,32 @@ bool InterfaceRepository::is_a_locked(const std::string& derived, const std::str
 std::optional<OperationDef> InterfaceRepository::find_operation(const std::string& iface,
                                                                 const std::string& op) const {
   std::scoped_lock lock(mu_);
-  return find_op_locked(iface, op, 0);
+  const OperationDef* found = find_op_locked(iface, op, 0);
+  if (found == nullptr) return std::nullopt;
+  return *found;
 }
 
-std::optional<OperationDef> InterfaceRepository::find_op_locked(const std::string& iface,
-                                                                const std::string& op,
-                                                                int depth) const {
-  if (depth > 32) return std::nullopt;
+InterfaceRepository::OperationLookup InterfaceRepository::lookup_operation(
+    const std::string& iface, const std::string& op) const {
+  std::scoped_lock lock(mu_);
+  if (defs_.count(iface) == 0) return OperationLookup::UnknownInterface;
+  return find_op_locked(iface, op, 0) != nullptr ? OperationLookup::Declared
+                                                 : OperationLookup::Undeclared;
+}
+
+const OperationDef* InterfaceRepository::find_op_locked(const std::string& iface,
+                                                        const std::string& op,
+                                                        int depth) const {
+  if (depth > 32) return nullptr;
   const auto it = defs_.find(iface);
-  if (it == defs_.end()) return std::nullopt;
+  if (it == defs_.end()) return nullptr;
   if (const auto oit = it->second.operations.find(op); oit != it->second.operations.end()) {
-    return oit->second;
+    return &oit->second;
   }
   for (const std::string& parent : it->second.bases) {
-    if (auto found = find_op_locked(parent, op, depth + 1)) return found;
+    if (const OperationDef* found = find_op_locked(parent, op, depth + 1)) return found;
   }
-  return std::nullopt;
+  return nullptr;
 }
 
 }  // namespace adapt::orb

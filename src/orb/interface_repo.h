@@ -64,12 +64,17 @@ class InterfaceRepository {
   [[nodiscard]] std::optional<OperationDef> find_operation(const std::string& iface,
                                                            const std::string& op) const;
 
+  enum class OperationLookup { UnknownInterface, Declared, Undeclared };
+  /// One locked, copy-free answer to find_operation's question that also
+  /// tells an unregistered interface apart (the per-call validation path).
+  [[nodiscard]] OperationLookup lookup_operation(const std::string& iface,
+                                                 const std::string& op) const;
+
  private:
   [[nodiscard]] bool is_a_locked(const std::string& derived, const std::string& base,
                                  int depth) const;
-  [[nodiscard]] std::optional<OperationDef> find_op_locked(const std::string& iface,
-                                                           const std::string& op,
-                                                           int depth) const;
+  [[nodiscard]] const OperationDef* find_op_locked(const std::string& iface,
+                                                   const std::string& op, int depth) const;
 
   mutable std::mutex mu_;
   std::map<std::string, InterfaceDef> defs_;

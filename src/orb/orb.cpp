@@ -360,8 +360,9 @@ std::optional<Bytes> Orb::handle_payload(const Bytes& payload) {
 void Orb::validate(const ObjectRef& ref, const std::string& operation) const {
   if (!config_.validate_interfaces || ref.interface.empty()) return;
   if (operation == "_ping" || operation == "_interface" || operation == "_stats") return;
-  if (!interfaces_->has(ref.interface)) return;  // unknown type: dynamic call
-  if (!interfaces_->find_operation(ref.interface, operation)) {
+  // An unregistered interface is a dynamic call: nothing to check.
+  if (interfaces_->lookup_operation(ref.interface, operation) ==
+      InterfaceRepository::OperationLookup::Undeclared) {
     throw BadOperation("interface '" + ref.interface + "' has no operation '" +
                        operation + "'");
   }
@@ -408,12 +409,11 @@ bool Orb::invoke_oneway(const ObjectRef& ref, const std::string& operation,
 std::future<Value> Orb::invoke_async(const ObjectRef& ref, const std::string& operation,
                                      const ValueList& args) {
   auto self = shared_from_this();
-  // Deferred calls join the trace that issued them: capture the caller's
-  // context here and re-install it on the worker thread.
-  const obs::TraceContext ctx = obs::current_context();
-  return std::async(std::launch::async, [self, ref, operation, args, ctx] {
-    obs::ContextGuard guard(ctx);
-    return self->invoke_impl(ref, operation, args, /*oneway=*/false, InvokeOptions{});
+  // Deferred calls join the trace that issued them and keep its deadline.
+  return std::async(std::launch::async, [self, ref, operation, args, caller = CallerContext()] {
+    return caller.run([&] {
+      return self->invoke_impl(ref, operation, args, /*oneway=*/false, InvokeOptions{});
+    });
   });
 }
 

@@ -307,8 +307,102 @@ size_t TcpConnectionPool::flush_endpoint(const std::string& endpoint) {
   return victims.size();
 }
 
+void TcpConnectionPool::arm(int fd, int option, double deadline,
+                            const std::string& endpoint) const {
+  const double left = deadline - config_.now();
+  if (left <= 0.0) throw TimeoutError("call to " + endpoint + " timed out");
+  const timeval tv = clamp_socket_timeout(left);
+  (void)setsockopt(fd, SOL_SOCKET, option, &tv, sizeof tv);
+}
+
+size_t TcpConnectionPool::transfer(int fd, uint8_t* data, size_t n, bool sending, bool first,
+                                   double deadline, const std::string& endpoint) const {
+  // The first syscall of a frame blocks under the timeout armed before it.
+  // A later one first tries without blocking, so a frame that is already
+  // there (or fits the send buffer) costs no extra syscall; only when it
+  // would block is the socket timeout re-armed with what is left of the
+  // deadline. Per-syscall SO_RCVTIMEO alone would let a peer trickling one
+  // byte at a time restart the clock with every fragment.
+  int flags = sending ? MSG_NOSIGNAL : 0;
+  if (!first) flags |= MSG_DONTWAIT;
+  while (true) {
+    const ssize_t rc = sending ? ::send(fd, data, n, flags) : ::recv(fd, data, n, flags);
+    if (rc >= 0) return static_cast<size_t>(rc);
+    if (errno == EINTR) continue;
+    if ((flags & MSG_DONTWAIT) == 0 || (errno != EAGAIN && errno != EWOULDBLOCK)) {
+      throw_errno(sending ? "send" : "recv");
+    }
+    arm(fd, sending ? SO_SNDTIMEO : SO_RCVTIMEO, deadline, endpoint);
+    flags &= ~MSG_DONTWAIT;
+  }
+}
+
+size_t TcpConnectionPool::write_request(int fd, const Bytes& payload, double deadline,
+                                        const std::string& endpoint) const {
+  ByteWriter w(4 + payload.size());
+  w.u32(static_cast<uint32_t>(payload.size()));
+  w.raw(payload.data(), payload.size());
+  Bytes frame = w.take();
+  for (size_t sent = 0; sent < frame.size();) {
+    sent += transfer(fd, frame.data() + sent, frame.size() - sent, /*sending=*/true,
+                     /*first=*/sent == 0, deadline, endpoint);
+  }
+  return frame.size();
+}
+
+std::optional<Bytes> TcpConnectionPool::read_reply(int fd, double deadline,
+                                                   const std::string& endpoint,
+                                                   size_t& consumed, bool& overread) const {
+  // One recv takes the length prefix together with whatever payload has
+  // arrived; a reply that arrived whole costs that single syscall.
+  uint8_t head[8192];
+  size_t got = 0;
+  while (got < 4) {
+    const size_t rc = transfer(fd, head + got, sizeof head - got, /*sending=*/false,
+                               /*first=*/got == 0, deadline, endpoint);
+    if (rc == 0) {
+      if (got == 0) return std::nullopt;
+      throw TransportError("connection closed mid-frame");
+    }
+    got += rc;
+    consumed += rc;
+  }
+  ByteReader lr(head, 4);
+  const uint32_t len = lr.u32();
+  if (len > kMaxFrameSize) {
+    throw TransportError("frame too large: " + std::to_string(len));
+  }
+  Bytes payload(len);
+  const size_t have = std::min<size_t>(got - 4, len);
+  std::memcpy(payload.data(), head + 4, have);
+  // Bytes past the frame answer no request; the reply stands, but the
+  // connection must not go back to the pool.
+  overread = got - 4 > len;
+  for (size_t off = have; off < len;) {
+    const size_t rc = transfer(fd, payload.data() + off, len - off, /*sending=*/false,
+                               /*first=*/false, deadline, endpoint);
+    if (rc == 0) throw TransportError("connection closed mid-frame");
+    off += rc;
+    consumed += rc;
+  }
+  return payload;
+}
+
 Bytes TcpConnectionPool::call(const std::string& endpoint, const Bytes& request,
                               double timeout, bool idempotent) {
+  return *exchange(endpoint, request, timeout, idempotent, /*oneway=*/false);
+}
+
+void TcpConnectionPool::send(const std::string& endpoint, const Bytes& request,
+                             double timeout) {
+  // A failed write delivered no complete frame, so the redial below is safe
+  // even though a oneway request is never treated as idempotent.
+  exchange(endpoint, request, timeout, /*idempotent=*/false, /*oneway=*/true);
+}
+
+std::optional<Bytes> TcpConnectionPool::exchange(const std::string& endpoint,
+                                                 const Bytes& request, double timeout,
+                                                 bool idempotent, bool oneway) {
   reap_idle();
   if (timeout <= 0.0) timeout = config_.timeout;
   // Absolute deadline for the whole call: a redial continues the original
@@ -327,19 +421,24 @@ Bytes TcpConnectionPool::call(const std::string& endpoint, const Bytes& request,
     // ::close(co.fd) — a second close could hit a recycled fd number owned
     // by another thread.
     try {
-      const size_t sent = write_frame(co.fd, request);
+      const size_t sent = write_request(co.fd, request, deadline, endpoint);
       sent_fully = true;
       if (stats_) stats_->add_bytes_sent(sent);
-      const double read_budget = deadline - config_.now();
-      if (read_budget <= 0.0) {
-        throw TimeoutError("call to " + endpoint + " timed out");
+      if (oneway) {
+        checkin(endpoint, co.fd);
+        return std::nullopt;
       }
-      set_timeouts(co.fd, read_budget);
-      std::optional<Bytes> reply = read_frame(co.fd, &reply_bytes);
+      arm(co.fd, SO_RCVTIMEO, deadline, endpoint);
+      bool overread = false;
+      std::optional<Bytes> reply = read_reply(co.fd, deadline, endpoint, reply_bytes, overread);
       if (reply) {
         if (stats_) stats_->add_bytes_received(reply_bytes);
-        checkin(endpoint, co.fd);
-        return std::move(*reply);
+        if (overread) {
+          ::close(co.fd);
+        } else {
+          checkin(endpoint, co.fd);
+        }
+        return reply;
       }
       // Clean EOF before any reply byte: the peer saw the full request
       // before closing, so it may have executed it.
@@ -366,41 +465,6 @@ Bytes TcpConnectionPool::call(const std::string& endpoint, const Bytes& request,
       log_debug("stale pooled connection to ", endpoint, ", redialing");
       // Its pooled siblings are the same vintage; make the redial (and
       // whoever checks out next) dial fresh rather than inherit them.
-      flush_endpoint(endpoint);
-    }
-  }
-}
-
-void TcpConnectionPool::send(const std::string& endpoint, const Bytes& request,
-                             double timeout) {
-  reap_idle();
-  if (timeout <= 0.0) timeout = config_.timeout;
-  const double deadline = config_.now() + timeout;
-  for (bool redialed = false;; redialed = true) {
-    const double remaining = deadline - config_.now();
-    if (remaining <= 0.0) {
-      throw TimeoutError("send to " + endpoint + " timed out");
-    }
-    const Checkout co = checkout(endpoint, remaining);
-    set_timeouts(co.fd, remaining);
-    try {
-      const size_t sent = write_frame(co.fd, request);
-      if (stats_) stats_->add_bytes_sent(sent);
-      checkin(endpoint, co.fd);
-      return;
-    } catch (const TimeoutError&) {
-      ::close(co.fd);
-      throw;  // budget spent; a redial would double it
-    } catch (const TransportError& e) {
-      ::close(co.fd);
-      // A failed write delivered no complete frame; retry once on a fresh
-      // socket when the failure came from a pooled (possibly stale)
-      // connection.
-      if (!co.reused || redialed ||
-          !may_reissue(Reissue::Failover, /*idempotent=*/false, &e)) {
-        throw;
-      }
-      if (stats_) stats_->add_redial();
       flush_endpoint(endpoint);
     }
   }

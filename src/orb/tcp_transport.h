@@ -99,15 +99,17 @@ class TcpConnectionPool {
   /// Round-trip: sends one frame, waits for one reply frame. `timeout`
   /// overrides the pool default for this call (<= 0 uses the default) and
   /// acts as an absolute deadline: connect, send and recv each get only
-  /// what remains of it, including across a redial. The bound is
-  /// best-effort — a peer trickling bytes resets the per-syscall socket
-  /// timeout each time. `idempotent` gates the post-write redial: when
-  /// false, a request that was fully written is never re-sent (the peer
-  /// may have executed it); checkout-time stale detection still applies.
+  /// what remains of it, including across a redial. Every send/recv after
+  /// the first of a frame is re-armed with what is left, so a peer
+  /// trickling bytes cannot stretch the call past it (TimeoutError).
+  /// `idempotent` gates the post-write redial: when false, a request that
+  /// was fully written is never re-sent (the peer may have executed it);
+  /// checkout-time stale detection still applies.
   Bytes call(const std::string& endpoint, const Bytes& request, double timeout = 0.0,
              bool idempotent = true);
 
-  /// Fire-and-forget: sends one frame without waiting.
+  /// Fire-and-forget: the same attempt loop as call(), with the connection
+  /// checked back in right after the write.
   void send(const std::string& endpoint, const Bytes& request, double timeout = 0.0);
 
   /// Closes all pooled connections.
@@ -135,6 +137,24 @@ class TcpConnectionPool {
   /// Used when a redial proved the endpoint's pooled siblings suspect.
   size_t flush_endpoint(const std::string& endpoint);
   static int dial(const TcpAddress& addr, double timeout);
+
+  /// The attempt loop behind call() and send(); nullopt for a oneway.
+  std::optional<Bytes> exchange(const std::string& endpoint, const Bytes& request,
+                                double timeout, bool idempotent, bool oneway);
+  /// Arms socket timeout `option` with what is left before `deadline`;
+  /// throws TimeoutError when nothing is.
+  void arm(int fd, int option, double deadline, const std::string& endpoint) const;
+  /// One send/recv of a frame; returns the bytes moved (0: peer closed).
+  size_t transfer(int fd, uint8_t* data, size_t n, bool sending, bool first,
+                  double deadline, const std::string& endpoint) const;
+  /// Deadline-bounded frame I/O of one attempt. read_reply returns nullopt
+  /// on a clean close before any byte, adds every byte read to `consumed`
+  /// (error paths included) and sets `overread` when the peer sent more
+  /// than the frame.
+  size_t write_request(int fd, const Bytes& payload, double deadline,
+                       const std::string& endpoint) const;
+  std::optional<Bytes> read_reply(int fd, double deadline, const std::string& endpoint,
+                                  size_t& consumed, bool& overread) const;
 
   PoolConfig config_;
   std::shared_ptr<OrbStatsCounters> stats_;  // may be null

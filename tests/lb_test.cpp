@@ -416,6 +416,35 @@ TEST_F(HedgeTest, HedgedRequestWinsOverSlowPrimary) {
   EXPECT_GE(counter_value("lb.hedge.won"), won0 + 2);
 }
 
+TEST_F(HedgeTest, HedgedAttemptsJoinTheCallersTrace) {
+  // Both attempts of a hedged read run on helper threads; each must carry
+  // the caller's trace context instead of rooting a trace of its own.
+  auto proxy = make_proxy(/*hedge_delay_s=*/0.01);
+  const uint64_t fired0 = counter_value("lb.hedge.fired");
+  obs::TraceContext caller;
+  {
+    obs::ScopedSpan root("hedged-caller");
+    caller = root.context();
+    for (int i = 0; i < 2; ++i) EXPECT_EQ(proxy->invoke("getvalue").as_string(), "fast");
+  }
+  ASSERT_TRUE(caller.valid());
+  ASSERT_GE(counter_value("lb.hedge.fired"), fired0 + 1);
+  // Slow primary + hedge, then the fast primary: at least three client
+  // attempts, the slow loser's span recorded once it finishes.
+  const auto attempts_in_trace = [&] {
+    size_t n = 0;
+    for (const obs::Span& span : obs::default_tracer().trace(caller.trace_hi, caller.trace_lo)) {
+      if (span.kind == obs::SpanKind::Client && span.name == "getvalue") ++n;
+    }
+    return n;
+  };
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(2);
+  while (attempts_in_trace() < 3 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  EXPECT_GE(attempts_in_trace(), 3u);
+}
+
 TEST_F(HedgeTest, HedgingSkipsNonIdempotentOperations) {
   // "whoami" is not in the ORB's idempotent set: it must never hedge, even
   // when the primary is slow.

@@ -107,5 +107,39 @@ TEST(OrbAllocBudgetTest, CollocatedEvalDpCallStaysWithinBudget) {
   trader_orb->shutdown();
 }
 
+// The same call against an interface the client ORB knows from IDL: the
+// per-call validation must answer from the repository without copying the
+// operation's definition.
+TEST(OrbAllocBudgetTest, IdlRegisteredEvalDpCallStaysWithinBudget) {
+  const auto trader_orb = Orb::create(OrbConfig{.name = "budget/idl-trader"});
+  const auto host_orb = Orb::create(OrbConfig{.name = "budget/idl-host-1"});
+  trader_orb->interfaces().define_idl(
+      "interface BasicMonitor { any evalDP(in string name, in any extra); };");
+  auto engine = std::make_shared<script::ScriptEngine>();
+  auto monitor = std::make_shared<monitor::BasicMonitor>("LoadAvg", engine);
+  monitor->setvalue(Value(Table::make_array({Value(0.5), Value(0.25), Value(0.125)})));
+  const ObjectRef ref = host_orb->register_servant(monitor);
+  ASSERT_EQ(ref.interface, "BasicMonitor");
+  const ValueList args = {Value("LoadAvg"), Value(2)};
+  EXPECT_THROW(trader_orb->invoke(ref, "noSuchOp", args), BadOperation);
+
+  for (int i = 0; i < 16; ++i) {
+    ASSERT_DOUBLE_EQ(trader_orb->invoke(ref, "evalDP", args).as_number(), 0.25);
+  }
+  uint64_t worst = 0;
+  for (int i = 0; i < 64; ++i) {
+    Value result;
+    worst = std::max(worst, allocations_of([&] {
+                       result = trader_orb->invoke(ref, "evalDP", args);
+                     }));
+    ASSERT_DOUBLE_EQ(result.as_number(), 0.25);
+  }
+  RecordProperty("worst_call_allocations", static_cast<int>(worst));
+  EXPECT_LE(worst, kCallBudget) << "one IDL-validated evalDP call made " << worst
+                                << " heap allocations";
+  host_orb->shutdown();
+  trader_orb->shutdown();
+}
+
 }  // namespace
 }  // namespace adapt::orb

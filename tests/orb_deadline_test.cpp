@@ -119,6 +119,50 @@ TEST(OrbDeadlineTest, ExhaustedInheritedBudgetFailsFastBeforeSending) {
   EXPECT_GE(orb->stats().timeouts, 1u);
 }
 
+TEST(OrbDeadlineTest, AsyncInvokeFromDispatchKeepsTheCallersDeadline) {
+  // invoke_async runs on a helper thread: the dispatch deadline must travel
+  // with it, or an async call made for a 0.2 s request gets the client's
+  // whole request_timeout.
+  OrbConfig slow_cfg;
+  slow_cfg.name = "async-slow";
+  slow_cfg.listen_tcp = true;
+  slow_cfg.reactor_workers = 2;
+  auto slow = Orb::create(slow_cfg);
+  auto sleeper = FunctionServant::make("Sleeper");
+  sleeper->on("nap", [](const ValueList&) {
+    std::this_thread::sleep_for(std::chrono::seconds(1));
+    return Value(true);
+  });
+  const ObjectRef nap_ref = slow->register_servant(sleeper, "sleeper");
+
+  auto orb = Orb::create({.name = "async-relay", .request_timeout = 5.0});
+  auto relay = FunctionServant::make("Relay");
+  relay->on("relay", [orb = orb.get(), nap_ref](const ValueList&) {
+    const auto start = std::chrono::steady_clock::now();
+    std::string outcome = "completed";
+    try {
+      orb->invoke_async(nap_ref, "nap", {}).get();
+    } catch (const TimeoutError&) {
+      outcome = "timed-out";
+    } catch (const Error& e) {
+      outcome = e.what();
+    }
+    auto result = Table::make();
+    result->set(Value("outcome"), Value(outcome));
+    result->set(Value("elapsed"), Value(elapsed_seconds(start)));
+    return Value(result);
+  });
+  const ObjectRef relay_ref = orb->register_servant(relay, "relay");
+
+  InvokeOptions options;
+  options.deadline = 0.2;
+  const Value out = orb->invoke(relay_ref, "relay", {}, options);
+  ASSERT_TRUE(out.is_table());
+  EXPECT_EQ(out.as_table()->get(Value("outcome")).as_string(), "timed-out");
+  EXPECT_LT(out.as_table()->get(Value("elapsed")).as_number(), 0.5);
+  slow->shutdown();
+}
+
 // ---- pre-dispatch rejection (counter-verified) -----------------------------
 
 TEST(OrbDeadlineTest, RequestExpiringInQueueIsRejectedBeforeServantRuns) {

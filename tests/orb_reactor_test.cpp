@@ -133,6 +133,44 @@ TEST(SocketTimeoutTest, TinyPositiveBudgetTimesOutInsteadOfBlocking) {
   EXPECT_LT(elapsed_seconds(start), 1.0) << "tiny budget blocked instead of expiring";
 }
 
+TEST(SocketTimeoutTest, TricklingPeerCannotOutliveTheDeadline) {
+  // A peer answering one byte every 50 ms used to restart the per-syscall
+  // SO_RCVTIMEO with each fragment, so a 0.3 s call returned its 44-byte
+  // reply after ~2.2 s. Every recv after the first now gets only what is
+  // left of the call's absolute deadline.
+  const int lfd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(lfd, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  ASSERT_EQ(::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
+  ASSERT_EQ(::bind(lfd, reinterpret_cast<sockaddr*>(&addr), sizeof addr), 0);
+  ASSERT_EQ(::listen(lfd, 1), 0);
+  socklen_t addr_len = sizeof addr;
+  ASSERT_EQ(::getsockname(lfd, reinterpret_cast<sockaddr*>(&addr), &addr_len), 0);
+  const std::string endpoint = "tcp://127.0.0.1:" + std::to_string(ntohs(addr.sin_port));
+
+  std::thread peer([lfd] {
+    const int fd = ::accept(lfd, nullptr, nullptr);
+    if (fd < 0) return;
+    (void)read_frame(fd);
+    ByteWriter reply;
+    reply.u32(40);
+    reply.raw(Bytes(40, 'x').data(), 40);
+    for (const uint8_t byte : reply.bytes()) {
+      if (::send(fd, &byte, 1, MSG_NOSIGNAL) != 1) break;  // the client gave up
+      std::this_thread::sleep_for(50ms);
+    }
+    ::close(fd);
+  });
+
+  TcpConnectionPool pool(5.0);
+  const auto start = std::chrono::steady_clock::now();
+  EXPECT_THROW(pool.call(endpoint, payload_of("ping"), 0.3), TimeoutError);
+  EXPECT_LT(elapsed_seconds(start), 0.6) << "a trickling peer outlived the 0.3 s deadline";
+  peer.join();
+  ::close(lfd);
+}
+
 // ---- accept-path resilience -----------------------------------------------
 
 TEST(ReactorTest, AcceptSurvivesFdExhaustion) {

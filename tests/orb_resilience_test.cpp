@@ -110,6 +110,41 @@ TEST(OrbResilienceTest, PoolCallSurvivesListenerRestartOnSamePort) {
   EXPECT_NO_THROW(pool.call(endpoint, request));
 }
 
+// A oneway request runs the same attempt loop as call(): over the stale
+// pooled connection left by a listener restart on the same port, it is
+// redialed and delivered.
+TEST(OrbResilienceTest, PoolSendSurvivesListenerRestartOnSamePort) {
+  std::atomic<int> delivered{0};
+  const auto count_oneway = [&](const Bytes&) -> std::optional<Bytes> {
+    ++delivered;
+    return std::nullopt;
+  };
+  const auto wait_for_delivered = [&](int n) {
+    const auto start = std::chrono::steady_clock::now();
+    while (delivered.load() < n && elapsed_seconds(start) < 2.0) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+    return delivered.load();
+  };
+  auto listener = std::make_unique<TcpListener>("127.0.0.1", 0, count_oneway);
+  const uint16_t port = listener->port();
+  const std::string endpoint = listener->endpoint();
+
+  auto stats = std::make_shared<OrbStatsCounters>();
+  TcpConnectionPool pool(PoolConfig{.timeout = 2.0}, stats);
+  const Bytes request = encode_request(RequestMessage{1, true, "obj", "notify", {}});
+  pool.send(endpoint, request);
+  EXPECT_EQ(wait_for_delivered(1), 1);
+  EXPECT_EQ(pool.idle_count(endpoint), 1u);
+
+  listener.reset();  // peer gone; pooled connection is now stale
+  listener = std::make_unique<TcpListener>("127.0.0.1", port, count_oneway);
+
+  EXPECT_NO_THROW(pool.send(endpoint, request));
+  EXPECT_EQ(wait_for_delivered(2), 2);
+  EXPECT_GE(stats->snapshot().redials, 1u);
+}
+
 // The post-write failure window: the peer read the whole request and died
 // before replying. It may have executed the request, so only idempotent
 // calls may be re-sent on a fresh connection.
