@@ -64,10 +64,12 @@ bench() {
 #     determinism self-test and the return of fds and threads.
 #   rpc_mix: the plain call path over TCP; it deep-compares every reply
 #     with what was sent, so it guards the wire codec's round trip.
+# The optional second argument is the seed (default 1).
 smoke() {
-  echo "==> perfbench $1 smoke run"
+  local seed="${2:-1}"
+  echo "==> perfbench $1 smoke run (seed ${seed})"
   local result
-  result="$(python3 perfbench/run.py --workload "$1" --seed 1 --seconds 2 --trace 0 | tail -n 1)"
+  result="$(python3 perfbench/run.py --workload "$1" --seed "${seed}" --seconds 2 --trace 0 | tail -n 1)"
   gates smoke "$1" "${result}"
 }
 
@@ -88,6 +90,8 @@ default_steps() {
   bench bench_overload overload gate
   smoke replica_brownout
   smoke adapt_churn
+  # The held-out seed: a schedule no tuning looked at.
+  smoke adapt_churn 9001
   smoke rpc_mix
 }
 

@@ -75,6 +75,9 @@ SmartProxy::~SmartProxy() {
     // best effort: the channel may already be gone
   }
   if (!observer_ref_.empty()) orb_->unregister_servant(observer_ref_.object_id);
+  if (!channel_observer_ref_.empty()) {
+    orb_->unregister_servant(channel_observer_ref_.object_id);
+  }
 }
 
 std::string SmartProxy::subscribe_channel(const ObjectRef& channel,
@@ -88,7 +91,7 @@ std::string SmartProxy::subscribe_channel(const ObjectRef& channel,
     opts->set(Value("events"), Value(std::move(list)));
   }
   const Value id =
-      orb_->invoke(channel, "subscribe", {Value(observer_ref_), Value(std::move(opts))});
+      orb_->invoke(channel, "subscribe", {Value(channel_observer_ref_), Value(std::move(opts))});
   std::scoped_lock lock(mu_);
   channel_ref_ = channel;
   channel_subscription_ = id.as_string();
@@ -117,17 +120,24 @@ bool SmartProxy::channel_subscribed() const {
 
 void SmartProxy::init() {
   // The observer servant through which monitors notify this proxy (the
-  // built-in createEventObserver of SIV-A).
+  // built-in createEventObserver of SIV-A), and a second one for event
+  // channel deliveries, so the queue knows which events a rebind answers.
   std::weak_ptr<SmartProxy> weak = weak_from_this();
   const bool postpone = config_.postpone_events;
-  observer_ = std::make_shared<monitor::CallbackObserver>([weak, postpone](const std::string& evid) {
-    auto self = weak.lock();
-    if (!self) return;
-    self->enqueue_event(evid);
-    if (!postpone) self->handle_pending_events();
-  });
-  observer_ref_ = orb_->register_servant(
-      observer_, "smartproxy-observer-" + std::to_string(g_proxy_counter++));
+  const auto make_observer = [&weak, postpone](bool from_monitor) {
+    return std::make_shared<monitor::CallbackObserver>(
+        [weak, postpone, from_monitor](const std::string& evid) {
+          auto self = weak.lock();
+          if (!self) return;
+          self->queue_event(evid, from_monitor);
+          if (!postpone) self->handle_pending_events();
+        });
+  };
+  const std::string name = "smartproxy-observer-" + std::to_string(g_proxy_counter++);
+  observer_ = make_observer(true);
+  observer_ref_ = orb_->register_servant(observer_, name);
+  channel_observer_ = make_observer(false);
+  channel_observer_ref_ = orb_->register_servant(channel_observer_, name + "-channel");
 
   // Strategy code can introspect transport health (orb.stats() etc.) when
   // deciding how to adapt; the binding tracks this proxy's client ORB.
@@ -234,7 +244,8 @@ bool SmartProxy::select() {
 }
 
 std::vector<trading::OfferInfo> SmartProxy::query_offers(const std::string& constraint,
-                                                         const std::string& preference) {
+                                                         const std::string& preference,
+                                                         const trading::LookupPolicies& policies) {
   std::vector<trading::OfferInfo> offers;
   try {
     // Rebind path: trader queries are idempotent, so the ORB retries them
@@ -244,7 +255,7 @@ std::vector<trading::OfferInfo> SmartProxy::query_offers(const std::string& cons
     const Value reply = orb_->invoke(
         lookup_, "query",
         {Value(config_.service_type), Value(constraint), Value(preference), Value(),
-         trading::Trader::policies_to_value(trading::LookupPolicies{})},
+         trading::Trader::policies_to_value(policies)},
         options);
     if (reply.is_table()) {
       const Table& t = *reply.as_table();
@@ -282,9 +293,18 @@ std::vector<trading::OfferInfo> SmartProxy::query_offers_all() {
 }
 
 bool SmartProxy::select(const std::string& constraint) {
+  ObjectRef failed;
+  {
+    std::scoped_lock lock(mu_);
+    failed = last_failed_;
+  }
+  // Only the first offer is bound, so ask for one; with a failed provider
+  // to avoid, ask for them all so first_offer_avoiding has alternatives.
+  trading::LookupPolicies policies;
+  if (failed.empty()) policies.return_card = 1;
   std::vector<trading::OfferInfo> offers;
   try {
-    offers = query_offers(constraint, config_.preference);
+    offers = query_offers(constraint, config_.preference, policies);
     std::scoped_lock lock(mu_);
     trader_unreachable_ = false;
   } catch (const TraderUnavailable&) {
@@ -296,11 +316,6 @@ bool SmartProxy::select(const std::string& constraint) {
     return false;
   }
 
-  ObjectRef failed;
-  {
-    std::scoped_lock lock(mu_);
-    failed = last_failed_;
-  }
   const trading::OfferInfo* chosen = first_offer_avoiding(offers, failed);
   if (chosen == nullptr) return false;
   bind(*chosen);
@@ -317,6 +332,7 @@ void SmartProxy::bind(const trading::OfferInfo& offer) {
 
   detach_registrations();
   bool changed = false;
+  size_t superseded = 0;
   {
     std::scoped_lock lock(mu_);
     changed = !(offer.provider == current_);
@@ -332,6 +348,7 @@ void SmartProxy::bind(const trading::OfferInfo& offer) {
     if (changed) {
       history_.push_back(offer.provider.str());
       ++rebinds_;
+      superseded = supersede_monitor_events_locked();
       if (!(current_ == last_failed_)) last_failed_ = ObjectRef{};
     }
   }
@@ -352,6 +369,7 @@ void SmartProxy::bind(const trading::OfferInfo& offer) {
   }
   if (changed) {
     obs::metrics().counter("proxy.rebinds").add();
+    if (superseded > 0) obs::metrics().counter("proxy.events_superseded").add(superseded);
     log_info("smartproxy[", config_.service_type, "]: bound to ", offer.provider.str());
   }
 }
@@ -433,8 +451,18 @@ std::vector<std::string> SmartProxy::binding_history() const {
 // ---- events -------------------------------------------------------------
 
 void SmartProxy::enqueue_event(const std::string& event_id) {
+  queue_event(event_id, /*from_monitor=*/false);
+}
+
+void SmartProxy::queue_event(const std::string& event_id, bool from_monitor) {
   std::scoped_lock lock(mu_);
-  event_queue_.push_back(event_id);
+  event_queue_.push_back(QueuedEvent{event_id, from_monitor});
+}
+
+size_t SmartProxy::supersede_monitor_events_locked() {
+  // The rebind already answered what the left monitor reported about its
+  // component; running those strategies again would only query again.
+  return std::erase_if(event_queue_, [](const QueuedEvent& e) { return e.from_monitor; });
 }
 
 size_t SmartProxy::pending_events() const {
@@ -461,7 +489,7 @@ void SmartProxy::handle_pending_events() {
     {
       std::scoped_lock lock(mu_);
       if (event_queue_.empty()) break;
-      event_id = std::move(event_queue_.front());
+      event_id = std::move(event_queue_.front().event_id);
       event_queue_.pop_front();
     }
     handle_event(event_id);
@@ -710,11 +738,16 @@ void SmartProxy::unbind_failed(const ObjectRef& target) {
   // Leave the failed component's monitor the way a rebind does (best
   // effort), so its events stop reaching this proxy.
   detach_registrations();
-  std::scoped_lock lock(mu_);
-  last_failed_ = target;
-  current_ = ObjectRef{};
-  current_monitor_ref_ = ObjectRef{};
-  offer_.reset();
+  size_t superseded = 0;
+  {
+    std::scoped_lock lock(mu_);
+    last_failed_ = target;
+    current_ = ObjectRef{};
+    current_monitor_ref_ = ObjectRef{};
+    offer_.reset();
+    superseded = supersede_monitor_events_locked();
+  }
+  if (superseded > 0) obs::metrics().counter("proxy.events_superseded").add(superseded);
 }
 
 void SmartProxy::throw_no_component(const std::string& message) const {

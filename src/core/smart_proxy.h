@@ -180,9 +180,11 @@ class SmartProxy : public std::enable_shared_from_this<SmartProxy> {
   lb::ReplicaSetPtr replica_set(bool ensure = false);
 
   // ---- event channel (decoupled pub/sub) --------------------------------
-  /// Subscribes this proxy's observer to an EventChannel servant (same
-  /// process or remote); delivered events enter the same queue as direct
-  /// monitor notifications, so strategies fire identically for both paths.
+  /// Subscribes this proxy's channel observer to an EventChannel servant
+  /// (same process or remote); delivered events enter the same queue as
+  /// direct monitor notifications, so strategies fire identically for both
+  /// paths. A rebind does not supersede them: they are not about the bound
+  /// component.
   /// `events` filters event ids (empty = all). Replaces any prior channel
   /// subscription. Returns the subscription id.
   std::string subscribe_channel(const ObjectRef& channel,
@@ -193,10 +195,14 @@ class SmartProxy : public std::enable_shared_from_this<SmartProxy> {
   [[nodiscard]] bool channel_subscribed() const;
 
   // ---- event path --------------------------------------------------------
-  /// Delivery entry (called by the proxy's EventObserver servant; public
-  /// for tests and for explicit strategy activation, paper SIV-A).
+  /// Explicit strategy activation (paper SIV-A; also used by tests). The
+  /// event is queued like a delivered one, and no rebind supersedes it.
   void enqueue_event(const std::string& event_id);
-  /// Applies strategies for every queued event now.
+  /// Applies strategies for every queued event now. Notifications that
+  /// arrived through observer_ref() — the bound monitor's registrations —
+  /// are superseded when the proxy rebinds or drops a failed component:
+  /// they leave the queue without running their strategy and count in
+  /// `proxy.events_superseded`, not in events_handled().
   void handle_pending_events();
   [[nodiscard]] size_t pending_events() const;
   /// The proxy's observer reference (self._observer in strategy code).
@@ -228,11 +234,20 @@ class SmartProxy : public std::enable_shared_from_this<SmartProxy> {
   void detach_registrations();
   void attach_registrations();
   void handle_event(const std::string& event_id);
+  void queue_event(const std::string& event_id, bool from_monitor);
+  /// Drops the queued notifications of the monitor the proxy is leaving;
+  /// returns how many. Called under mu_ when the binding changes.
+  size_t supersede_monitor_events_locked();
 
   struct Interest {
     std::string event_id;
     std::string predicate_code;
     std::string registration_id;  // on the currently bound monitor
+  };
+
+  struct QueuedEvent {
+    std::string event_id;
+    bool from_monitor = false;  // arrived through observer_ref()
   };
 
   struct OperationRoute {
@@ -260,7 +275,8 @@ class SmartProxy : public std::enable_shared_from_this<SmartProxy> {
   /// TraderUnavailable when the trader itself could not be reached, so
   /// callers can tell an outage from a legitimate no-match.
   std::vector<trading::OfferInfo> query_offers(const std::string& constraint,
-                                               const std::string& preference);
+                                               const std::string& preference,
+                                               const trading::LookupPolicies& policies = {});
   /// The replica set's query: primary constraint with the configured
   /// sorted-query fallback, returning *all* matches in preference order.
   std::vector<trading::OfferInfo> query_offers_all();
@@ -282,7 +298,7 @@ class SmartProxy : public std::enable_shared_from_this<SmartProxy> {
   std::map<std::string, NativeStrategy> native_strategies_;
   std::map<std::string, OperationRoute> routes_;
   std::map<std::string, std::string> method_alternatives_;
-  std::deque<std::string> event_queue_;
+  std::deque<QueuedEvent> event_queue_;
   lb::ReplicaSetPtr replica_set_;   // guarded by mu_; created lazily
   bool trader_unreachable_ = false; // last select() failed on trader outage
   bool handling_events_ = false;
@@ -292,8 +308,10 @@ class SmartProxy : public std::enable_shared_from_this<SmartProxy> {
   uint64_t events_handled_ = 0;
 
   Value self_;  // script self table (created in init)
-  std::shared_ptr<monitor::CallbackObserver> observer_;
+  std::shared_ptr<monitor::CallbackObserver> observer_;          // monitors notify it
   ObjectRef observer_ref_;
+  std::shared_ptr<monitor::CallbackObserver> channel_observer_;  // the channel delivers to it
+  ObjectRef channel_observer_ref_;
   ObjectRef channel_ref_;            // guarded by mu_
   std::string channel_subscription_; // guarded by mu_
 };

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "core/infrastructure.h"
+#include "obs/metrics.h"
 
 namespace adapt::core {
 namespace {
@@ -355,6 +356,178 @@ TEST_F(ProxyTest, StrategyCanInvokeThroughProxyWithoutDeadlock) {
   proxy->enqueue_event("Probe");
   proxy->invoke("hello");
   EXPECT_EQ(proxy->engine()->get_global("probed").as_string(), "host-a");
+}
+
+// ---- superseded events -----------------------------------------------------
+
+uint64_t superseded_count() {
+  return obs::metrics().counter("proxy.events_superseded").value();
+}
+
+/// Delivers `event_id` the way a monitor registration does: a notifyEvent
+/// on the proxy's observer.
+void notify(SmartProxy& proxy, const std::string& event_id) {
+  proxy.orb()->invoke(proxy.observer_ref(), "notifyEvent", {Value(event_id)});
+}
+
+TEST_F(ProxyTest, EventsQueuedBeforeARebindAreSuperseded) {
+  deploy("host-a");
+  deploy("host-b");
+  auto proxy = infra_.make_proxy(default_config());
+  ASSERT_TRUE(proxy->select());
+  ASSERT_EQ(proxy->invoke("whoami").as_string(), "host-a");
+  int strategy_runs = 0;
+  proxy->set_strategy("LoadIncrease", [&](SmartProxy& p) {
+    ++strategy_runs;
+    p.select("Host == 'host-b'");
+  });
+  // Both monitor updates of a step fired under the binding to host-a.
+  notify(*proxy, "LoadIncrease");
+  notify(*proxy, "LoadIncrease");
+  ASSERT_EQ(proxy->pending_events(), 2u);
+  const uint64_t superseded = superseded_count();
+  const uint64_t handled = proxy->events_handled();
+
+  EXPECT_EQ(proxy->invoke("whoami").as_string(), "host-b");
+  EXPECT_EQ(strategy_runs, 1) << "the rebind already answered the second event";
+  EXPECT_EQ(superseded_count(), superseded + 1);
+  EXPECT_EQ(proxy->events_handled(), handled + 1);
+  EXPECT_EQ(proxy->pending_events(), 0u);
+}
+
+TEST_F(ProxyTest, EventsRunWhenTheStrategyDoesNotRebind) {
+  // The Fig. 7 relaxation path: the reselect finds nothing, the binding
+  // stands, so every queued event still runs its strategy.
+  deploy("host-a");
+  auto proxy = infra_.make_proxy(default_config());
+  ASSERT_TRUE(proxy->select());
+  int strategy_runs = 0;
+  proxy->set_strategy("LoadIncrease", [&](SmartProxy& p) {
+    ++strategy_runs;
+    EXPECT_FALSE(p.select("LoadAvg < 0"));
+  });
+  notify(*proxy, "LoadIncrease");
+  notify(*proxy, "LoadIncrease");
+  const uint64_t superseded = superseded_count();
+  const uint64_t handled = proxy->events_handled();
+
+  EXPECT_EQ(proxy->invoke("whoami").as_string(), "host-a");
+  EXPECT_EQ(strategy_runs, 2);
+  EXPECT_EQ(superseded_count(), superseded);
+  EXPECT_EQ(proxy->events_handled(), handled + 2);
+}
+
+TEST_F(ProxyTest, EventQueuedAfterARebindRuns) {
+  deploy("host-a");
+  deploy("host-b");
+  auto proxy = infra_.make_proxy(default_config());
+  ASSERT_TRUE(proxy->select());
+  int strategy_runs = 0;
+  proxy->set_strategy("Ev", [&](SmartProxy&) { ++strategy_runs; });
+  const uint64_t superseded = superseded_count();
+  notify(*proxy, "Ev");                         // about host-a
+  ASSERT_TRUE(proxy->select("Host == 'host-b'"));
+  EXPECT_EQ(superseded_count(), superseded + 1);
+  notify(*proxy, "Ev");                         // about host-b
+
+  proxy->handle_pending_events();
+  EXPECT_EQ(strategy_runs, 1);
+
+  // Selecting the provider already bound is no rebind: nothing is dropped.
+  notify(*proxy, "Ev");
+  ASSERT_TRUE(proxy->select("Host == 'host-b'"));
+  proxy->handle_pending_events();
+  EXPECT_EQ(strategy_runs, 2);
+  EXPECT_EQ(superseded_count(), superseded + 1);
+}
+
+TEST_F(ProxyTest, ExplicitActivationsOutliveARebind) {
+  // enqueue_event is explicit strategy activation (paper SIV-A), not a
+  // report from the monitor the proxy leaves, so a rebind keeps it queued.
+  deploy("host-a");
+  deploy("host-b");
+  auto proxy = infra_.make_proxy(default_config());
+  ASSERT_TRUE(proxy->select());
+  int moves = 0;
+  int probes = 0;
+  proxy->set_strategy("LoadIncrease", [&](SmartProxy& p) {
+    ++moves;
+    p.select("Host == 'host-b'");
+  });
+  proxy->set_strategy("Probe", [&](SmartProxy&) { ++probes; });
+  notify(*proxy, "LoadIncrease");
+  proxy->enqueue_event("Probe");
+  notify(*proxy, "LoadIncrease");
+  proxy->enqueue_event("Probe");
+  const uint64_t superseded = superseded_count();
+
+  EXPECT_EQ(proxy->invoke("whoami").as_string(), "host-b");
+  EXPECT_EQ(moves, 1);
+  EXPECT_EQ(probes, 2);
+  EXPECT_EQ(superseded_count(), superseded + 1);
+}
+
+TEST_F(ProxyTest, FailoverSupersedesEventsQueuedForTheFailedComponent) {
+  // host-a is the only offer; it dies and its offer is withdrawn, so the
+  // failover drops the binding and finds nothing to rebind to. Only
+  // unbind_failed can have dropped the second event.
+  const ObjectRef a = deploy("host-a");
+  auto proxy = infra_.make_proxy(default_config());
+  ASSERT_TRUE(proxy->select());
+  int strategy_runs = 0;
+  proxy->set_strategy("Probe", [&](SmartProxy& p) {
+    ++strategy_runs;
+    p.invoke("whoami");  // fails over, then throws: nothing is left
+  });
+  notify(*proxy, "Probe");
+  notify(*proxy, "Probe");
+  infra_.trader().withdraw_provider(a);
+  infra_.host_orb("host-a")->unregister_servant(a.object_id);
+  const uint64_t superseded = superseded_count();
+
+  proxy->handle_pending_events();
+  EXPECT_FALSE(proxy->bound());
+  EXPECT_EQ(strategy_runs, 1);
+  EXPECT_EQ(superseded_count(), superseded + 1);
+}
+
+TEST_F(ProxyTest, SelectAsksForOneOfferUnlessAFailedProviderIsAvoided) {
+  // A stub Lookup that ranks server-a first, honours return_card and
+  // records the return_card of every query.
+  auto orb = infra_.make_orb("stub-market");
+  const ObjectRef a = orb->register_servant(named_server("server-a"));
+  const ObjectRef b = orb->register_servant(named_server("server-b"));
+  std::vector<size_t> cards;
+  auto lookup = FunctionServant::make("Lookup");
+  lookup->on("query", [&](const ValueList& args) {
+    const size_t card = trading::Trader::policies_from_value(args.at(4)).return_card;
+    cards.push_back(card);
+    auto out = Table::make();
+    for (const ObjectRef& provider : {a, b}) {
+      if (static_cast<size_t>(out->length()) >= card) break;
+      trading::OfferInfo info;
+      info.offer_id = provider.object_id;
+      info.service_type = "HelloService";
+      info.provider = provider;
+      out->append(trading::Trader::offer_info_to_value(std::move(info)));
+    }
+    return Value(std::move(out));
+  });
+  auto proxy = SmartProxy::create(orb, orb->register_servant(lookup), default_config());
+
+  ASSERT_TRUE(proxy->select());
+  EXPECT_EQ(proxy->invoke("whoami").as_string(), "server-a");
+  ASSERT_EQ(cards, std::vector<size_t>{1});
+
+  // server-a dies: the failover must see past it to server-b.
+  orb->unregister_servant(a.object_id);
+  EXPECT_EQ(proxy->invoke("whoami").as_string(), "server-b");
+  ASSERT_EQ(cards.size(), 2u);
+  EXPECT_EQ(cards[1], trading::LookupPolicies{}.return_card);
+
+  // Bound again to a live provider, a plain select asks for one offer.
+  ASSERT_TRUE(proxy->select());
+  EXPECT_EQ(cards.back(), 1u);
 }
 
 // ---- rebinding mechanics ---------------------------------------------------

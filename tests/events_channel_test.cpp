@@ -726,5 +726,53 @@ TEST(EventsInfrastructureTest, ProxySubscribesToProcessChannel) {
   EXPECT_EQ(proxy->pending_events(), 0u);
 }
 
+TEST(EventsInfrastructureTest, ChannelEventsOutliveARebind) {
+  // The channel is one per process and fed by any publisher; its events are
+  // not about the bound component, so a rebind does not supersede them.
+  // Notifications from the bound monitor's registrations are superseded.
+  core::Infrastructure infra({.name = "events-rebind"});
+  trading::ServiceTypeDef type;
+  type.name = "Hello";
+  type.properties = {{"Host", "string", trading::PropertyDef::Mode::Normal}};
+  infra.trader().types().add(type);
+  for (const std::string host : {"h1", "h2"}) {
+    auto servant = FunctionServant::make("Hello");
+    servant->on("whoami", [host](const ValueList&) { return Value(host); });
+    infra.make_host(host);
+    const ObjectRef provider = infra.host_orb(host)->register_servant(servant);
+    infra.make_agent(host)->export_offer("Hello", provider, {{"Host", Value(host)}});
+  }
+
+  core::SmartProxyConfig cfg;
+  cfg.service_type = "Hello";
+  cfg.constraint = "Host == 'h1'";
+  cfg.monitor_property = "";
+  auto proxy = infra.make_proxy(cfg);
+  ASSERT_TRUE(proxy->select());
+  std::atomic<int> moves{0};
+  std::atomic<int> spikes{0};
+  proxy->set_strategy("LoadIncrease", [&moves](core::SmartProxy& p) {
+    ++moves;
+    p.select("Host == 'h2'");
+  });
+  proxy->set_strategy("LoadSpike", [&spikes](core::SmartProxy&) { ++spikes; });
+  proxy->subscribe_channel(infra.event_channel_ref(), {"LoadSpike"});
+
+  // Two reports from h1's monitor, then a channel event (about h2, say).
+  for (int i = 0; i < 2; ++i) {
+    proxy->orb()->invoke(proxy->observer_ref(), "notifyEvent", {Value("LoadIncrease")});
+  }
+  ASSERT_TRUE(infra.event_channel()->publish("LoadSpike", Value("h2")));
+  ASSERT_TRUE(wait_until([&] { return proxy->pending_events() == 3; }));
+  const uint64_t superseded =
+      obs::metrics().counter("proxy.events_superseded").value();
+
+  EXPECT_EQ(proxy->invoke("whoami").as_string(), "h2");
+  EXPECT_EQ(moves.load(), 1) << "the rebind answered h1's second report";
+  EXPECT_EQ(spikes.load(), 1) << "a rebind must not drop a channel event";
+  EXPECT_EQ(obs::metrics().counter("proxy.events_superseded").value(), superseded + 1);
+  proxy->unsubscribe_channel();
+}
+
 }  // namespace
 }  // namespace adapt::events
