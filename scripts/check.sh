@@ -2,8 +2,9 @@
 # Tier-1 verify, optionally under a sanitizer preset.
 #
 #   scripts/check.sh            # plain RelWithDebInfo build + ctest + bench JSON
-#                               # gates + short replica_brownout, adapt_churn and
-#                               # rpc_mix benchmark runs
+#                               # gates + E1 golden diff + short
+#                               # replica_brownout, adapt_churn and rpc_mix
+#                               # benchmark runs
 #   scripts/check.sh tsan       # ThreadSanitizer build + ctest
 #   scripts/check.sh asan       # Address+UB sanitizer build + ctest
 #   scripts/check.sh all        # default, then tsan, then asan
@@ -54,6 +55,16 @@ bench() {
   gates "${check}" "${name}" "build/BENCH_${name}.json"
 }
 
+# E1 (bench_load_sharing) runs on simulated time with fixed seeds, so its
+# whole output is deterministic: a diff against the committed golden file
+# means the paper's load-sharing result moved. Regenerate the file only for
+# a change meant to move it:
+#   build/bench/bench_load_sharing > bench/bench_load_sharing.golden
+e1_golden() {
+  echo "==> bench_load_sharing (E1) against bench/bench_load_sharing.golden"
+  diff -u bench/bench_load_sharing.golden <(build/bench/bench_load_sharing)
+}
+
 # A 2 s run of one workload of the repository benchmark (perfbench/run.py
 # builds its own tree under .bench_build); its result line (the last line of
 # output) must report "correct": true.
@@ -77,6 +88,7 @@ default_steps() {
   gates selftest
   run_preset default
   gates lint build
+  e1_golden
   bench bench_transport transport schema
   bench bench_overhead overhead schema
   bench bench_events events schema

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <optional>
 
 #include "base/logging.h"
 #include "lb/script_bindings.h"
@@ -20,6 +22,17 @@ std::atomic<uint64_t> g_proxy_counter{1};
 /// Name under which the monitor wrapper appears in strategy code (paper
 /// Fig. 7 uses self._loadavgmon).
 constexpr const char* kMonitorField = "_loadavgmon";
+
+/// Share of the call's budget a failover attempt may run past it. A
+/// timed-out first attempt has spent the whole budget by definition; the
+/// grace lets its failover still reach a replica that answers at once,
+/// while a second slow replica times out within it.
+constexpr double kFailoverGrace = 0.25;
+
+double steady_now_s() {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now().time_since_epoch())
+      .count();
+}
 
 /// Pre-execution gate for strategy code shipped to this proxy: refuses the
 /// script — before compiling or running any of it — when static analysis
@@ -650,7 +663,8 @@ Value SmartProxy::invoke(const std::string& operation, const ValueList& args) {
   span_options.tracer = &orb_->tracer();
   obs::ScopedSpan span("proxy.invoke:" + operation, span_options);
   if (span.active()) span.annotate("service_type", config_.service_type);
-  obs::metrics().counter("proxy.invocations").add();
+  static obs::Counter& invocations = obs::metrics().counter("proxy.invocations");
+  invocations.add();
   try {
     return invoke_traced(operation, args);
   } catch (const Error& e) {
@@ -668,8 +682,25 @@ Value SmartProxy::invoke_traced(const std::string& operation, const ValueList& a
   // paths differ only in how a target is chosen and how a failed one is
   // marked; whether a failure may be re-issued is orb::may_reissue's call.
   const bool idempotent = orb_->is_idempotent(operation);
+  // One deadline for the logical call: the failover attempt spends what the
+  // first left of one request_timeout (plus kFailoverGrace of it), never
+  // more than an enclosing dispatch's deadline, instead of a fresh budget.
+  const double started = steady_now_s();
+  const double budget = orb_->request_timeout() * (1.0 + kFailoverGrace);
   ObjectRef failed;
   for (int attempt = 0;; ++attempt) {
+    std::optional<orb::DispatchDeadlineScope> deadline;
+    if (attempt > 0) {
+      double left = budget - (steady_now_s() - started);
+      if (const auto inherited = orb::current_dispatch_remaining()) {
+        left = std::min(left, *inherited);
+      }
+      if (left <= 0.0) {
+        throw orb::TimeoutError("deadline exceeded before failing over '" + operation +
+                                "' of '" + config_.service_type + "'");
+      }
+      deadline.emplace(left);
+    }
     std::optional<OperationRoute> route;
     lb::ReplicaSetPtr set;
     ObjectRef target;

@@ -14,16 +14,12 @@ namespace {
 /// Central inbox bound; publishes beyond it drop the oldest entry.
 constexpr size_t kInboxCapacity = 4096;
 
-/// Table payloads are snapshotted through the wire codec at publish time, so
-/// the channel's queues never share mutable state with the publisher — a
-/// publisher may keep mutating its table after publish() returns while
-/// router and delivery threads read the frozen copy.
+/// Table payloads are snapshotted at publish time with the wire's by-value
+/// copy, so the channel's queues never share mutable state with the
+/// publisher — a publisher may keep mutating its table after publish()
+/// returns while router and delivery threads read the frozen copy.
 Value snapshot_payload(const Value& payload) {
-  if (!payload.is_table()) return payload;
-  ByteWriter w;
-  orb::encode_value(w, payload);
-  ByteReader r(w.bytes());
-  return orb::decode_value(r);
+  return payload.is_table() ? orb::wire_copy(payload) : payload;
 }
 
 }  // namespace

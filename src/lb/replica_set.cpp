@@ -51,6 +51,12 @@ bool remote_endpoint(const ObjectRef& ref) {
   return ref.endpoint.rfind("inproc://", 0) != 0;
 }
 
+/// "lb.pick", resolved once: it counts every balanced pick.
+obs::Counter& pick_counter() {
+  static obs::Counter& counter = obs::metrics().counter("lb.pick");
+  return counter;
+}
+
 }  // namespace
 
 const char* policy_name(Policy policy) {
@@ -419,7 +425,7 @@ ReplicaPtr ReplicaSet::pick() {
     });
     for (const auto& r : all) {
       if (r->admit(/*force=*/true)) {
-        obs::metrics().counter("lb.pick").add();
+        pick_counter().add();
         return r;
       }
     }
@@ -430,7 +436,7 @@ ReplicaPtr ReplicaSet::pick() {
     ReplicaPtr chosen = choose(candidates);
     if (!chosen) return nullptr;
     if (chosen->admit()) {
-      obs::metrics().counter("lb.pick").add();
+      pick_counter().add();
       return chosen;
     }
     // Lost the half-open probe slot to another thread: drop and re-choose.

@@ -28,6 +28,20 @@ void verify_monitor_function(script::ScriptEngine& engine, const std::string& co
   }
 }
 
+/// The instruments every aspect evaluation records, resolved once.
+struct AspectMetrics {
+  obs::Counter& evals;
+  obs::Histogram& eval_ns;
+
+  static AspectMetrics& get() {
+    static AspectMetrics m{
+        obs::metrics().counter("monitor.aspect_evals"),
+        obs::metrics().histogram("monitor.aspect_eval_ns"),
+    };
+    return m;
+  }
+};
+
 }  // namespace
 
 BasicMonitor::BasicMonitor(std::string property_name,
@@ -158,11 +172,10 @@ void BasicMonitor::refresh_aspects(const Value& current) {
       log_warn("monitor ", property_name_, ": aspect '", name, "' failed: ", e.what());
     }
     const auto elapsed = std::chrono::steady_clock::now() - started;
-    obs::metrics().counter("monitor.aspect_evals").add();
-    obs::metrics()
-        .histogram("monitor.aspect_eval_ns")
-        .record(static_cast<uint64_t>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed).count()));
+    AspectMetrics& instruments = AspectMetrics::get();
+    instruments.evals.add();
+    instruments.eval_ns.record(static_cast<uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed).count()));
   }
 }
 

@@ -6,11 +6,12 @@
 // Orb::invoke_impl, server span around Servant::dispatch) and propagate over
 // the wire via the request's `context` string map ("traceparent" key), so a
 // two-hop call client -> A -> B yields one trace whose spans are correctly
-// parented across three address spaces. In-process hops always propagate;
-// TCP hops carry the context only when OrbConfig::propagate_wire_context
-// opts in, because pre-context peers reject the wire tail (see
-// orb/wire.h). Higher layers (SmartProxy,
-// InterceptedCaller, monitors, Luma strategies) add their own spans so
+// parented across three address spaces. In-process hops always propagate,
+// handing the TraceContext over as a value with no header text; TCP hops
+// carry the context only when OrbConfig::propagate_wire_context opts in,
+// because pre-context peers reject the wire tail (see orb/wire.h). Higher
+// layers (SmartProxy, InterceptedCaller, monitors, Luma strategies) add
+// their own spans so
 // adaptation-triggered rebinds and aspect evaluations are visible inside the
 // same trace.
 //

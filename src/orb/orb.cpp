@@ -41,7 +41,7 @@ double backoff_delay(const RetryPolicy& policy, int retry_index) {
 
 /// Process-wide registry of live ORBs, keyed by inproc endpoint. Lets many
 /// ORBs in one process (one per simulated host) reach each other without
-/// TCP while still marshalling through the wire format.
+/// TCP, with the by-value semantics of the wire (see wire_copy).
 class InprocRegistry {
  public:
   static InprocRegistry& instance() {
@@ -271,11 +271,12 @@ ReplyMessage Orb::dispatch_request(const RequestMessage& req) {
   // of the caller's budget (see Orb::invoke_traced).
   DispatchDeadlineScope deadline_scope(dispatch_remaining);
 
-  // Server span: adopt the caller's context from the wire so this dispatch
-  // (and anything the servant invokes from this thread) joins the caller's
-  // trace; a context-free request roots a fresh trace.
-  obs::TraceContext remote;
-  if (!req.traceparent.empty()) {
+  // Server span: adopt the caller's context — the typed one a collocated
+  // caller set, or the text a TCP peer sent — so this dispatch (and anything
+  // the servant invokes from this thread) joins the caller's trace; a
+  // context-free request roots a fresh trace.
+  obs::TraceContext remote = req.trace;
+  if (!remote.valid() && !req.traceparent.empty()) {
     if (const auto parsed = obs::TraceContext::from_header(req.traceparent)) {
       remote = *parsed;
     }
@@ -491,7 +492,8 @@ Value Orb::invoke_impl(const ObjectRef& ref, const std::string& operation,
 Value Orb::invoke_traced(const ObjectRef& ref, const std::string& operation,
                          const ValueList& args, bool oneway, const InvokeOptions& options,
                          obs::ScopedSpan& span) {
-  // The message header only: the caller's `args` are encoded in place.
+  // The message header only: over TCP the caller's `args` are encoded in
+  // place; a collocated call copies them in below.
   RequestMessage req;
   req.request_id = next_request_id_++;
   req.oneway = oneway;
@@ -513,11 +515,8 @@ Value Orb::invoke_traced(const ObjectRef& ref, const std::string& operation,
     }
   }
 
-  const bool idempotent =
-      options.idempotent.has_value() ? *options.idempotent : is_idempotent(operation);
   const bool critical =
       options.critical.has_value() ? *options.critical : is_critical(operation);
-  const RetryPolicy policy = options.retry.value_or(RetryPolicy{});
   double budget =
       options.deadline > 0.0 ? options.deadline : config_.request_timeout;
   // Deadline inheritance: an invoke made from inside a servant dispatch
@@ -532,36 +531,38 @@ Value Orb::invoke_traced(const ObjectRef& ref, const std::string& operation,
     budget = std::min(budget, *inherited);
   }
 
-  // Context propagation: an in-process peer is this binary, so the v2 tail
-  // is always safe; a TCP peer may predate it, so emission there is gated
-  // by OrbConfig::propagate_wire_context (a v1 decoder rejects the tail).
+  // Context propagation: an in-process peer is this binary, so the context
+  // always travels; a TCP peer may predate the v2 tail, so emission there is
+  // gated by OrbConfig::propagate_wire_context (a v1 decoder rejects it).
+  // The context stays typed here; only encode_request writes it as text.
   const bool emit_context = target != nullptr || config_.propagate_wire_context;
-  if (span.active() && emit_context) {
-    req.traceparent = span.context().to_header();
-  }
+  if (span.active() && emit_context) req.trace = span.context();
   if (emit_context) req.critical = critical;
 
   if (target) {
-    // In-process path: still round-trip through the wire codec so the call
-    // is bit-for-bit what a TCP peer would see. No retry loop here — an
-    // unreachable inproc peer is definitively gone, not transiently flaky,
-    // and an Overloaded rejection surfaces directly (the caller shares the
-    // overloaded process; re-queueing locally would not help).
+    // In-process path: the servant gets what a TCP peer would decode and
+    // the caller what it would decode of the reply — wire_copy keeps the
+    // by-value semantics (fresh tables, functions refused) without producing
+    // bytes. No retry loop here — an unreachable inproc peer is definitively
+    // gone, not transiently flaky, and an Overloaded rejection surfaces
+    // directly (the caller shares the overloaded process; re-queueing
+    // locally would not help).
     req.deadline = budget;
-    const Bytes encoded = encode_request(req, args);
-    const RequestMessage decoded = decode_request(encoded);
+    req.args = wire_copy(args);
     stats_->add_request();
-    const ReplyMessage rep = target->dispatch_request(decoded);
+    ReplyMessage rep = target->dispatch_request(req);
     if (oneway) {
       if (rep.status != ReplyStatus::Ok) {
         throw RemoteError("oneway dispatch failed: " + rep.result.str());
       }
       return {};
     }
-    const Bytes rep_bytes = encode_reply(rep);
+    // A failure reply's payload is the ORB's own table of strings; only a
+    // servant's result can hold what the wire would refuse or share.
+    if (rep.status == ReplyStatus::Ok) rep.result = wire_copy(rep.result);
     stats_->add_reply();
     try {
-      return reply_to_result(decode_reply(rep_bytes));
+      return reply_to_result(rep);
     } catch (const RejectedError&) {
       stats_->add_overload();
       throw;
@@ -576,6 +577,9 @@ Value Orb::invoke_traced(const ObjectRef& ref, const std::string& operation,
   // checkout-time stale detection protects every operation; its post-write
   // redial asks the same rule (the idempotence flag reaches
   // TcpConnectionPool::call).
+  const bool idempotent =
+      options.idempotent.has_value() ? *options.idempotent : is_idempotent(operation);
+  const RetryPolicy policy = options.retry.value_or(RetryPolicy{});
   const int max_attempts = oneway ? 1 : std::max(1, policy.max_attempts);
   const double start = steady_now();
   retry_budget_.on_attempt(ref.endpoint);

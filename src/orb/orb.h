@@ -6,9 +6,11 @@
 //    stubs, no compiled types.
 //  * DSI: incoming requests are funneled to Servant::dispatch.
 //  * Transports: a TCP listener (optional) plus an in-process transport.
-//    Several ORBs in one process model several hosts; in-process calls still
-//    marshal through the full wire format so experiments exercise exactly
-//    the code path of a networked deployment.
+//    Several ORBs in one process model several hosts. An in-process call
+//    keeps the semantics of a networked one — the servant gets a by-value
+//    copy of the arguments and the caller a copy of the result, exactly
+//    what the wire codec would deliver (wire_copy) — but not its bytes:
+//    nothing is encoded for a peer that is this process.
 //  * Built-in operations on every object: "_ping" (liveness) and
 //    "_interface" (reflection: the servant's interface name).
 #pragma once
@@ -220,6 +222,11 @@ class Orb : public std::enable_shared_from_this<Orb> {
     return config_.idempotent_operations.count(operation) > 0;
   }
 
+  /// The budget of a call that names no deadline (OrbConfig::request_timeout).
+  /// Layers that re-send a call elsewhere spend one such budget across all
+  /// their attempts.
+  [[nodiscard]] double request_timeout() const { return config_.request_timeout; }
+
   /// Whether `operation` is control-plane traffic that admission control
   /// never sheds: liveness probes and reflection builtins, service-agent
   /// heartbeat renewal ("refresh") and trader lookups — exactly the traffic
@@ -261,8 +268,7 @@ class Orb : public std::enable_shared_from_this<Orb> {
   Value invoke_impl(const ObjectRef& ref, const std::string& operation,
                     const ValueList& args, bool oneway, const InvokeOptions& options);
   /// invoke_impl after the client span is open: builds the request (stamping
-  /// the span's context into the wire metadata) and runs the local or TCP
-  /// path.
+  /// the span's context into its metadata) and runs the local or TCP path.
   Value invoke_traced(const ObjectRef& ref, const std::string& operation,
                       const ValueList& args, bool oneway, const InvokeOptions& options,
                       obs::ScopedSpan& span);
@@ -275,7 +281,8 @@ class Orb : public std::enable_shared_from_this<Orb> {
                         bool idempotent);
   void validate(const ObjectRef& ref, const std::string& operation) const;
 
-  /// Server side: executes a decoded request against the local adapter.
+  /// Server side: executes a request (decoded from TCP, or built by a
+  /// collocated caller) against the local adapter.
   ReplyMessage dispatch_request(const RequestMessage& req);
   /// Raw server entry point used by both transports.
   std::optional<Bytes> handle_payload(const Bytes& payload);

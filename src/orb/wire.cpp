@@ -34,10 +34,20 @@ void encode_key(ByteWriter& w, const TableKey& key) {
   }
 }
 
+// The encoder's two refusals, shared with wire_copy so a collocated call
+// fails with exactly the error a TCP call would.
+[[noreturn]] void throw_too_deep() {
+  throw SerializationError("value nesting exceeds wire limit (cyclic table?)");
+}
+
+[[noreturn]] void throw_function() {
+  throw SerializationError(
+      "functions cannot cross the wire; ship source code strings instead "
+      "(remote evaluation)");
+}
+
 void encode_value_rec(ByteWriter& w, const Value& v, int depth) {
-  if (depth > kMaxValueDepth) {
-    throw SerializationError("value nesting exceeds wire limit (cyclic table?)");
-  }
+  if (depth > kMaxValueDepth) throw_too_deep();
   switch (v.type()) {
     case Value::Type::Nil:
       w.u8(static_cast<uint8_t>(ValueTag::Nil));
@@ -72,11 +82,32 @@ void encode_value_rec(ByteWriter& w, const Value& v, int depth) {
       return;
     }
     case Value::Type::Function:
-      throw SerializationError(
-          "functions cannot cross the wire; ship source code strings instead "
-          "(remote evaluation)");
+      throw_function();
   }
   throw SerializationError("unknown value type");
+}
+
+/// encode_value_rec and decode_value_rec fused: the same walk, the same
+/// depth check at the same elements, and the value the decoder would build.
+Value wire_copy_rec(const Value& v, int depth) {
+  if (depth > kMaxValueDepth) throw_too_deep();
+  switch (v.type()) {
+    case Value::Type::Table: {
+      auto t = Table::make();
+      for (const auto& [key, val] : *v.as_table()) {
+        // The key as the decoder reads it back (integer keys as numbers),
+        // normalised again by Table::set.
+        t->set(key.to_value(), wire_copy_rec(val, depth + 1));
+      }
+      return Value(std::move(t));
+    }
+    case Value::Type::Function:
+      throw_function();
+    default:
+      // Nil, booleans, numbers, strings and object references are values
+      // already; copying them is what the decoder's fresh construction is.
+      return v;
+  }
 }
 
 Value decode_value_rec(ByteReader& r, int depth) {
@@ -114,6 +145,15 @@ Value decode_value_rec(ByteReader& r, int depth) {
 }  // namespace
 
 void encode_value(ByteWriter& w, const Value& v) { encode_value_rec(w, v, 0); }
+
+Value wire_copy(const Value& v) { return wire_copy_rec(v, 0); }
+
+ValueList wire_copy(const ValueList& values) {
+  ValueList out;
+  out.reserve(values.size());
+  for (const Value& v : values) out.push_back(wire_copy_rec(v, 0));
+  return out;
+}
 
 Value decode_value(ByteReader& r) { return decode_value_rec(r, 0); }
 
@@ -180,6 +220,11 @@ Bytes encode_request(const RequestMessage& req, const ValueList& args) {
   size_t hint = 1 + 8 + 1 + 4 + req.object_id.size() + 4 + req.operation.size() + 4;
   for (const Value& arg : args) hint += size_hint(arg);
   if (req.has_context()) hint += 128 + req.traceparent.size();
+  // The traceparent entry: the peer's text when relaying, else the span
+  // context formatted once here.
+  const std::string traceparent =
+      req.traceparent.empty() && req.trace.valid() ? req.trace.to_header() : std::string();
+  const std::string& tp = req.traceparent.empty() ? traceparent : req.traceparent;
   ByteWriter w(hint);
   w.u8(static_cast<uint8_t>(MsgType::Request));
   w.u64(req.request_id);
@@ -192,13 +237,13 @@ Bytes encode_request(const RequestMessage& req, const ValueList& args) {
     // v2 optional tail (see RequestMessage::context). Omitted when empty so
     // context-free requests stay bit-identical to the v1 encoding.
     uint32_t entries = static_cast<uint32_t>(req.context.size());
-    if (!req.traceparent.empty()) ++entries;
+    if (!tp.empty()) ++entries;
     if (req.deadline > 0.0) ++entries;
     if (req.critical) ++entries;
     w.u32(entries);
-    if (!req.traceparent.empty()) {
+    if (!tp.empty()) {
       w.str(RequestMessage::kTraceparentKey);
-      w.str(req.traceparent);
+      w.str(tp);
     }
     if (req.deadline > 0.0) {
       w.str(RequestMessage::kDeadlineKey);

@@ -1,8 +1,10 @@
 // Wire format (CDR/GIOP analog): Value marshalling plus request/reply frames.
 //
-// Every value that crosses an ORB boundary goes through encode_value /
-// decode_value — including "local" calls between two ORBs in the same
-// process, so experiments exercise the same code path as a deployment.
+// Every value that crosses an ORB boundary has by-value semantics: the
+// receiver gets what decode_value(encode_value(v)) returns. Over TCP that is
+// literally the codec below. A collocated call (two ORBs in one process)
+// keeps the semantics but not the bytes: wire_copy builds the same value
+// directly, so nobody encodes a frame that only this process would read.
 // Functions are not marshallable: per the paper's remote-evaluation model,
 // code travels as *source strings* and is compiled at the receiver.
 #pragma once
@@ -15,6 +17,7 @@
 
 #include "base/bytes.h"
 #include "base/value.h"
+#include "obs/trace.h"
 
 namespace adapt::orb {
 
@@ -25,6 +28,14 @@ Value decode_value(ByteReader& r);
 
 /// Maximum table-nesting depth accepted by the codec (cycle guard).
 inline constexpr int kMaxValueDepth = 32;
+
+/// What decode_value(encode_value(v)) returns, built without the bytes:
+/// tables come back fresh (no sharing with `v`, metatables dropped, integral
+/// keys normalised as the decoder does), object references copied field by
+/// field. Throws the codec's SerializationError for functions and for
+/// nesting beyond kMaxValueDepth, at the same element the encoder would.
+Value wire_copy(const Value& v);
+ValueList wire_copy(const ValueList& values);
 
 enum class MsgType : uint8_t { Request = 1, Reply = 2 };
 
@@ -47,11 +58,18 @@ struct RequestMessage {
   /// *rejects* frames that do carry the tail ("trailing bytes"). The ORB
   /// therefore emits the tail over TCP only when
   /// OrbConfig::propagate_wire_context opts in (in-process calls, which
-  /// cannot hit an old decoder, always carry it). On the wire every entry is
+  /// cannot hit an old decoder, always carry the context, as typed fields
+  /// that are never encoded). On the wire every entry is
   /// a (key, value) string pair; in memory the one key every traced request
   /// carries ("traceparent") has a dedicated field so the per-invocation hot
-  /// path never allocates the vector.
+  /// path never allocates the vector. A decoded request keeps the peer's
+  /// text here; a request the ORB builds sets `trace` instead.
   std::string traceparent = {};
+  /// The caller's span context as a value. Only encode_request turns it into
+  /// text (the "traceparent" entry, unless `traceparent` is already set), so
+  /// a collocated call hands it to the server span without formatting or
+  /// parsing hex.
+  obs::TraceContext trace = {};
   /// Caller's remaining deadline budget in seconds at send time (gRPC
   /// grpc-timeout analog). 0 means "no deadline propagated". Carried on the
   /// wire as the context entry "deadline" (decimal seconds) so pre-deadline
@@ -67,7 +85,8 @@ struct RequestMessage {
   std::vector<std::pair<std::string, std::string>> context = {};
 
   [[nodiscard]] bool has_context() const {
-    return !traceparent.empty() || deadline > 0.0 || critical || !context.empty();
+    return !traceparent.empty() || trace.valid() || deadline > 0.0 || critical ||
+           !context.empty();
   }
   /// Context value stored under `key`, or nullptr. Only string-valued keys
   /// are reachable here; "deadline"/"critical" have typed fields instead.

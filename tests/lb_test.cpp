@@ -675,5 +675,50 @@ TEST_F(FailoverGateTest, BalancedInvocationsFailOverOnlyWhenIdempotent) {
   expect_submit_surfaces_and_runs_once(*proxy2);
 }
 
+// One deadline per logical call: when both replicas stall, the failover
+// spends what the first attempt left of the budget (plus the short failover
+// grace) instead of a fresh request_timeout, so the call gives up in about
+// one timeout rather than one per attempt.
+TEST(ProxyDeadlineTest, FailoverSpendsWhatTheFirstAttemptLeft) {
+  Infrastructure infra{InfrastructureOptions{.name = "lbdl"}};
+  trading::ServiceTypeDef type;
+  type.name = "Svc";
+  infra.trader().types().add(type);
+  std::atomic<int> dispatched{0};
+  std::vector<orb::OrbPtr> servers;
+  for (int i = 0; i < 2; ++i) {
+    auto server = orb::Orb::create(
+        orb::OrbConfig{.name = "lbdl-srv" + std::to_string(i), .listen_tcp = true});
+    auto slow = FunctionServant::make("Svc");
+    slow->on("getvalue", [&dispatched](const ValueList&) {
+      ++dispatched;
+      std::this_thread::sleep_for(std::chrono::milliseconds(800));
+      return Value("slow");
+    });
+    infra.trader().export_offer("Svc", server->register_servant(slow), {});
+    servers.push_back(server);
+  }
+  constexpr double kRequestTimeout = 0.4;
+  auto client =
+      orb::Orb::create(orb::OrbConfig{.name = "lbdl-cli", .request_timeout = kRequestTimeout});
+  SmartProxyConfig cfg;
+  cfg.service_type = "Svc";
+  cfg.monitor_property = "";
+  auto proxy = SmartProxy::create(client, infra.trader().lookup_ref(), cfg);
+  ASSERT_TRUE(proxy->select());
+
+  const auto start = std::chrono::steady_clock::now();
+  EXPECT_THROW(proxy->invoke("getvalue"), orb::TimeoutError);
+  const double elapsed =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+  EXPECT_EQ(proxy->binding_history().size(), 2u) << "the call failed over once";
+  // Two fresh budgets would take 2 x 0.4 s.
+  EXPECT_LT(elapsed, kRequestTimeout * 1.5);
+  EXPECT_GE(elapsed, kRequestTimeout);
+  for (const auto& server : servers) server->shutdown();
+  client->shutdown();
+  EXPECT_EQ(dispatched.load(), 2) << "both replicas were asked";
+}
+
 }  // namespace
 }  // namespace adapt::lb

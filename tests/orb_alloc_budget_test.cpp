@@ -61,10 +61,10 @@ uint64_t allocations_of(Fn&& fn) {
 
 /// The budget for one collocated evalDP-shaped call, default tracer on, at
 /// the figure measured when it was set: the two spans' annotation lists,
-/// the client's peer-endpoint annotation, the traceparent header and its
-/// decoded copy, the request and reply buffers, and the decoded argument
-/// list. The codec and per-call bookkeeping before it made 22 in this shape.
-constexpr uint64_t kCallBudget = 8;
+/// the client's peer-endpoint annotation and the servant's copy of the
+/// argument list. A collocated call encodes nothing, so a request or reply
+/// buffer showing up here is a regression.
+constexpr uint64_t kCallBudget = 4;
 
 TEST(OrbAllocBudgetTest, CountingAllocatorSeesThisThread) {
   EXPECT_GE(allocations_of([] { delete new int(1); }), 1u);

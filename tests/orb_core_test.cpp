@@ -90,6 +90,43 @@ TEST(OrbTest, FunctionArgumentRejectedBySerialization) {
   EXPECT_THROW(orb->invoke(ref, "echo", {fn}), SerializationError);
 }
 
+TEST(OrbTest, CollocatedCallsKeepByValueSemantics) {
+  // A servant that scribbles on its table argument and hands back a table
+  // it keeps: neither side may see the other's later writes, exactly as if
+  // the call had crossed TCP.
+  auto server = Orb::create({.name = "isolation-server"});
+  auto client = Orb::create({.name = "isolation-client"});
+  auto kept = Table::make();
+  kept->set(Value("hits"), Value(1.0));
+  auto servant = FunctionServant::make("Scribbler");
+  servant->on("scribble", [kept](const ValueList& args) {
+    const TablePtr& arg = args.at(0).as_table();
+    EXPECT_EQ(arg->metatable(), nullptr) << "metatables do not cross";
+    arg->set(Value("touched"), Value(true));
+    arg->get(Value("inner")).as_table()->seti(1, Value("servant"));
+    return Value(kept);
+  });
+  const ObjectRef ref = server->register_servant(servant);
+
+  auto inner = Table::make();
+  inner->seti(1, Value("caller"));
+  auto arg = Table::make();
+  arg->set(Value("inner"), Value(inner));
+  arg->set_metatable(Table::make());
+  const Value out = client->invoke(ref, "scribble", {Value(arg)});
+
+  EXPECT_TRUE(arg->get(Value("touched")).is_nil()) << "the servant wrote to a copy";
+  EXPECT_EQ(inner->geti(1).as_string(), "caller");
+  EXPECT_NE(arg->metatable(), nullptr);
+
+  ASSERT_TRUE(out.is_table());
+  EXPECT_NE(out.as_table(), kept) << "the result is a copy, not the servant's table";
+  out.as_table()->set(Value("hits"), Value(99.0));
+  EXPECT_DOUBLE_EQ(kept->get(Value("hits")).as_number(), 1.0);
+  kept->set(Value("hits"), Value(2.0));
+  EXPECT_DOUBLE_EQ(out.as_table()->get(Value("hits")).as_number(), 99.0);
+}
+
 TEST(OrbTest, InprocInvocationBetweenOrbs) {
   auto server = Orb::create({.name = "server-host"});
   auto client = Orb::create({.name = "client-host"});

@@ -6,15 +6,20 @@
 //    semantics;
 //  * Luma: random arithmetic expressions and random table programs match
 //    C++ oracles;
-//  * wire format: random value roundtrip lives in orb_wire_test.cpp.
+//  * wire format: random value roundtrip lives in orb_wire_test.cpp; here
+//    orb::wire_copy (the collocated call's copy) must equal the codec round
+//    trip on random values and throw exactly when the encoder throws.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <map>
 #include <optional>
 #include <random>
 #include <sstream>
 
+#include "orb/wire.h"
 #include "script/engine.h"
 #include "trading/constraint.h"
 
@@ -362,6 +367,212 @@ TEST(LumaPropertyTest, SortProducesOrderedPermutation) {
     EXPECT_DOUBLE_EQ(out.at(1).as_number(), sum);
     EXPECT_DOUBLE_EQ(out.at(2).as_number(), n);
   }
+}
+
+// ---- wire_copy PBT -----------------------------------------------------------
+
+/// Random values that stress what the codec normalises or refuses: integral
+/// and non-integral number keys on both sides of 2^53, bool keys,
+/// metatables, tables shared between two slots, functions, nesting around
+/// kMaxValueDepth, and cycles.
+class WireValueGen {
+ public:
+  explicit WireValueGen(uint32_t seed) : rng_(seed) {}
+  WireValueGen(const WireValueGen&) = delete;
+  WireValueGen& operator=(const WireValueGen&) = delete;
+  /// Breaks the cycles it made, so the tables are freed.
+  ~WireValueGen() {
+    for (const auto& [table, key] : cycles_) table->set(Value(key), Value());
+  }
+
+  Value gen(int depth) {
+    switch (pick(depth <= 0 ? 6 : 9)) {
+      case 0: return {};
+      case 1: return Value(pick(2) == 0);
+      case 2: return Value(number());
+      case 3:
+        return Value(std::string(static_cast<size_t>(pick(3) * 9), static_cast<char>('a' + pick(26))));
+      case 4: return Value(ObjectRef{"inproc://h" + std::to_string(pick(3)),
+                                     "o" + std::to_string(pick(50)), pick(2) ? "I" : ""});
+      case 5:
+        if (pick(6) != 0) return Value(3.0);
+        return Value(NativeFunction::make("f", [](const ValueList&) { return ValueList{}; }));
+      case 6: return Value(chain(30 + pick(5)));
+      default: return Value(table(depth));
+    }
+  }
+
+ private:
+  TablePtr table(int depth) {
+    auto t = Table::make();
+    const int n = pick(6);
+    for (int i = 0; i < n; ++i) {
+      Value v = gen(depth - 1);
+      if (v.is_nil()) continue;
+      switch (pick(4)) {
+        case 0: t->seti(i + 1, std::move(v)); break;
+        case 1: t->seti(big_int(), std::move(v)); break;
+        case 2: t->set(Value(pick(2) == 0), std::move(v)); break;
+        default: t->set(Value("k" + std::to_string(pick(8))), std::move(v)); break;
+      }
+    }
+    if (const double key = number(); pick(3) == 0 && !std::isnan(key)) {
+      t->set(Value(key), Value("by number"));
+    }
+    if (pick(4) == 0) t->set_metatable(Table::make());
+    if (n > 0 && pick(5) == 0) {
+      // The same subtable in two slots: the wire turns it into two tables.
+      auto shared = Table::make_array({Value(1.0)});
+      t->set(Value("s1"), Value(shared));
+      t->set(Value("s2"), Value(shared));
+    }
+    switch (pick(12)) {
+      case 0:
+        t->set(Value("self"), Value(t));
+        cycles_.emplace_back(t, "self");
+        break;
+      case 1: {
+        auto other = Table::make();
+        other->set(Value("back"), Value(t));
+        t->set(Value("other"), Value(other));
+        cycles_.emplace_back(other, "back");
+        break;
+      }
+      default: break;
+    }
+    return t;
+  }
+
+  /// Tables nested `levels` deep, with a scalar or an empty table at the
+  /// bottom: straddles the codec's depth limit.
+  TablePtr chain(int levels) {
+    auto top = Table::make();
+    TablePtr at = top;
+    for (int i = 1; i < levels; ++i) {
+      auto next = Table::make();
+      at->seti(1, Value(next));
+      at = next;
+    }
+    if (pick(2) == 0) at->seti(1, Value(0.5));
+    return top;
+  }
+
+  double number() {
+    switch (pick(8)) {
+      case 0: return std::numeric_limits<double>::quiet_NaN();
+      case 1: return -0.0;
+      case 2: return std::numeric_limits<double>::infinity();
+      case 3: return 9007199254740992.0 * (pick(2) ? 1 : -1);  // 2^53
+      case 4: return 1e300;
+      case 5: return static_cast<double>(pick(100)) + 0.25;
+      default: return static_cast<double>(pick(1000)) - 500.0;
+    }
+  }
+
+  int64_t big_int() {
+    constexpr int64_t k2p53 = int64_t{1} << 53;
+    switch (pick(5)) {
+      case 0: return k2p53 - 1;
+      case 1: return k2p53 + 1 + pick(3);
+      case 2: return -k2p53 - pick(3);
+      case 3: return int64_t{1} << 60;
+      default: return -pick(20);
+    }
+  }
+
+  int pick(int n) { return static_cast<int>(rng_() % static_cast<uint32_t>(n)); }
+
+  std::mt19937 rng_;
+  std::vector<std::pair<TablePtr, std::string>> cycles_;
+};
+
+/// Exact equality: numbers bit for bit, tables entry by entry in key order
+/// with the same key kinds, object references field by field.
+bool same_value(const Value& a, const Value& b) {
+  if (a.type() != b.type()) return false;
+  switch (a.type()) {
+    case Value::Type::Number: {
+      const double x = a.as_number();
+      const double y = b.as_number();
+      return std::memcmp(&x, &y, sizeof x) == 0;
+    }
+    case Value::Type::Object:
+      return a.as_object() == b.as_object() && a.as_object().interface == b.as_object().interface;
+    case Value::Type::Table: {
+      const Table& ta = *a.as_table();
+      const Table& tb = *b.as_table();
+      if (ta.size() != tb.size() || ta.metatable() != tb.metatable()) return false;
+      auto ib = tb.begin();
+      for (const auto& [key, val] : ta) {
+        if (!(key == ib->first) || !same_value(val, ib->second)) return false;
+        ++ib;
+      }
+      return true;
+    }
+    default:
+      return a == b;
+  }
+}
+
+Value codec_round_trip(const Value& v) {
+  ByteWriter w;
+  orb::encode_value(w, v);
+  ByteReader r(w.bytes());
+  return orb::decode_value(r);
+}
+
+TEST(WireCopyPropertyTest, CopyIsTheCodecRoundTripAndFailsWhereItFails) {
+  int refused = 0;
+  for (uint32_t seed = 1; seed <= 600; ++seed) {
+    WireValueGen gen(seed);
+    const Value v = gen.gen(3);
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    std::optional<std::string> encode_error;
+    Value expected;
+    try {
+      expected = codec_round_trip(v);
+    } catch (const SerializationError& e) {
+      encode_error = e.what();
+    }
+    try {
+      const Value copy = orb::wire_copy(v);
+      ASSERT_FALSE(encode_error.has_value()) << "encoder refused: " << *encode_error;
+      EXPECT_TRUE(same_value(copy, expected)) << v.str();
+      if (v.is_table()) {
+        EXPECT_NE(copy.as_table(), v.as_table());
+      }
+      // The argument-list form copies element by element.
+      const ValueList list = orb::wire_copy(ValueList{v, Value(1.0)});
+      ASSERT_EQ(list.size(), 2u);
+      EXPECT_TRUE(same_value(list[0], expected));
+    } catch (const SerializationError& e) {
+      ASSERT_TRUE(encode_error.has_value()) << "copy refused what the encoder took: "
+                                            << e.what();
+      EXPECT_EQ(std::string(e.what()), *encode_error);
+      ++refused;
+    }
+  }
+  // The generator reaches both outcomes.
+  EXPECT_GT(refused, 30);
+  EXPECT_LT(refused, 570);
+}
+
+TEST(WireCopyPropertyTest, DepthLimitMatchesTheEncoder) {
+  // 32 levels of nesting below the top value pass, 33 do not; a self-cycle
+  // is refused the same way.
+  const auto nested = [](int levels) {
+    Value v(1.0);
+    for (int i = 0; i < levels; ++i) v = Value(Table::make_array({v}));
+    return v;
+  };
+  EXPECT_NO_THROW(orb::wire_copy(nested(32)));
+  EXPECT_NO_THROW(codec_round_trip(nested(32)));
+  EXPECT_THROW(orb::wire_copy(nested(33)), SerializationError);
+  EXPECT_THROW(codec_round_trip(nested(33)), SerializationError);
+  auto self = Table::make();
+  self->set(Value("self"), Value(self));
+  EXPECT_THROW(orb::wire_copy(Value(self)), SerializationError);
+  self->set(Value("self"), Value());  // break the cycle
 }
 
 }  // namespace
